@@ -7,29 +7,19 @@ diagnostics (partial-transpose negativity).
 """
 
 from .dynamics import (
-    Propagator,
-    RabiFrequencies,
     TrajectoryData,
-    TrajectoryRecord,
-    build_propagator,
     diagonal_evolve,
     evolve,
     excitation_expectation,
-    rabi_frequencies,
-    trajectory,
+    propagator_stack,
     trajectory_data,
 )
 from .entanglement import (
     PptReport,
-    PptVerdict,
     SEPARABLE_GRADE,
-    e_measure,
-    filter_artifact,
-    negative_eigenvalues,
     negativity_exponent,
     partial_transpose,
     ppt_report,
-    ppt_verdict,
 )
 from .entropy import (
     EntropySeries,
@@ -48,6 +38,7 @@ from .entropy import (
 )
 from .errors import (
     AllStepsSkipped,
+    ConservationViolation,
     DimensionMismatch,
     InvalidParameter,
     MissingFactorization,
@@ -57,14 +48,14 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import adjoint, hermitian_eig, kron, matmul, trace
+from .linalg import eigvalsh, kron
 from .states import (
     BlochParams,
-    BoltzmannRatio,
     DensityMatrix,
     FieldDistribution,
     auto_truncate,
     bloch_qubit,
+    ladder,
     partial_trace,
     product_state,
     thermal_field,

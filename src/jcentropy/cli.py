@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -150,58 +151,61 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_FILE_PARSERS = {
-    "n-bar": float,
-    "n-f": lambda v: v if v == "auto" else int(v),
-    "atom": str,
-    "t-max": float,
-    "dt": float,
-    "eps": float,
-    "artifact-threshold": float,
-    "diagnostics": lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-    "grid": lambda v: _parse_grid(v),
-    "workers": int,
-    "out": str,
-}
-
-_FIELD_BY_KEY = {
-    "n-bar": "n_bar",
-    "n-f": "n_f",
-    "atom": "atom",
-    "t-max": "t_max",
-    "dt": "dt",
-    "eps": "eps",
-    "artifact-threshold": "artifact_threshold",
-    "diagnostics": "diagnostics",
-    "grid": "grid",
-    "workers": "workers",
-    "out": "out",
-}
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        a, _, b = text.lower().partition("x")
-        return int(a), int(b)
-    except ValueError:
-        raise ConfigError(f"grid: {text!r} is not like '51x51'") from None
+    a, _, b = text.lower().partition("x")
+    return int(a), int(b)
+
+
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+EVOLVE_SWEEP = ("evolve", "sweep")
+
+# One row per option: the flag and config-file key, the RunConfig field, the
+# parser of its text, the subcommands that take it (and echo it in the
+# sidecar), and the flag's help.
+OPTIONS = [
+    ("n-bar", "n_bar", _finite_float, EVOLVE_SWEEP, "mean thermal photon number"),
+    ("n-f", "n_f", lambda v: v if v == "auto" else int(v), EVOLVE_SWEEP,
+     "field truncation: auto or an integer >= 1"),
+    ("atom", "atom", str, ("evolve",), "ground | excited | r=..,theta=..[,phi=..]"),
+    ("t-max", "t_max", _finite_float, EVOLVE_SWEEP, "last sample time"),
+    ("dt", "dt", _finite_float, EVOLVE_SWEEP, "sample spacing"),
+    ("eps", "eps", _finite_float, EVOLVE_SWEEP, "entropy-change noise threshold"),
+    ("artifact-threshold", "artifact_threshold", _finite_float, EVOLVE_SWEEP,
+     "PT eigenvalue magnitude below which a negative is an artifact"),
+    ("diagnostics", "diagnostics", _parse_list, ("sweep",),
+     "comma list from: exchange,mutual,ppt"),
+    ("grid", "grid", _parse_grid, ("sweep",), "resolution, e.g. 51x51"),
+    ("workers", "workers", int, EVOLVE_SWEEP, "worker processes"),
+    ("out", "out", str, EVOLVE_SWEEP, "output CSV path"),
+]
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then config-file values, then flags, each parsed by its table row."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _FILE_PARSERS:
-                raise ConfigError(f"config: unknown key {key!r}")
+    from_file = _read_config_file(args.config) if args.config else {}
+    known = {key for key, *_ in OPTIONS}
+    for key in from_file:
+        if key not in known:
+            raise ConfigError(f"config: unknown key {key!r}")
+    for key, field, parse, _, _ in OPTIONS:
+        for raw in (from_file.get(key), getattr(args, field, None)):
+            if raw is None:
+                continue
             try:
-                value = _FILE_PARSERS[key](raw)
-            except (ValueError, TypeError):
-                raise ConfigError(f"{key}: cannot parse {raw!r}") from None
-            setattr(cfg, _FIELD_BY_KEY[key], value)
-    for field in _FIELD_BY_KEY.values():
-        value = getattr(args, field, None)
-        if value is not None:
-            setattr(cfg, field, value)
+                setattr(cfg, field, parse(raw))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
     return cfg.validate()
 
 
@@ -209,20 +213,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_sidecar(path: str, cfg: RunConfig, n_f: int, tail_mass: float,
+def _write_sidecar(command: str, cfg: RunConfig, n_f: int, tail_mass: float,
                    wall_time: float, workers: int, rows: int) -> None:
     meta = {
         "config": {
-            "n_bar": cfg.n_bar,
-            "n_f": cfg.n_f,
-            "atom": cfg.atom,
-            "t_max": cfg.t_max,
-            "dt": cfg.dt,
-            "eps": cfg.eps,
-            "artifact_threshold": cfg.artifact_threshold,
-            "diagnostics": list(cfg.diagnostics),
-            "grid": list(cfg.grid),
-            "out": cfg.out,
+            field: getattr(cfg, field)
+            for _, field, _, commands, _ in OPTIONS
+            if command in commands
         },
         "chosen_n_f": n_f,
         "tail_mass": tail_mass,
@@ -230,14 +227,12 @@ def _write_sidecar(path: str, cfg: RunConfig, n_f: int, tail_mass: float,
         "workers": workers,
         "rows": rows,
     }
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+    with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    if cfg.out is None:
-        raise ConfigError("out: required for evolve")
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
@@ -275,25 +270,16 @@ def cmd_evolve(cfg: RunConfig) -> int:
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_sidecar(
-        cfg.out, cfg, n_f, field.tail_mass, time.monotonic() - start, 1, len(data)
+        "evolve", cfg, n_f, field.tail_mass, time.monotonic() - start, 1, len(data)
     )
     return EXIT_OK
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.out is None:
-        raise ConfigError("out: required for sweep")
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
-    n_theta, n_r = cfg.grid
-    grid = sweep_mod.SweepGrid(
-        theta_values=np.linspace(-np.pi / 2, np.pi / 2, n_theta),
-        r_values=np.linspace(0.02, 1.0, n_r),
-        n_bar=cfg.n_bar,
-        n_f=n_f,
-        t_grid=cfg.time_grid(),
-    )
+    grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     workers = cfg.workers or 1
     cells = sweep_mod.run_sweep(
         grid,
@@ -320,7 +306,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_sidecar(
-        cfg.out, cfg, n_f, field.tail_mass, time.monotonic() - start, workers, len(cells)
+        "sweep", cfg, n_f, field.tail_mass, time.monotonic() - start, workers, len(cells)
     )
     return EXIT_OK
 
@@ -342,18 +328,18 @@ def cmd_fixed_point(n_bar: float) -> int:
 
 
 def _check_propagator_unitarity() -> float:
-    u = dynamics.build_propagator(13, 7.3).mat
+    u = dynamics.propagator_stack(15, [7.3])[0]
     return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
 
 
 def _check_propagator_identity() -> float:
-    u = dynamics.build_propagator(13, 0.0).mat
+    u = dynamics.propagator_stack(15, [0.0])[0]
     return float(np.abs(u - np.eye(u.shape[0])).max())
 
 
 def _check_vacuum_rabi_flip() -> float:
     # |e,0> fully transfers to |g,1> at a quarter period
-    u = dynamics.build_propagator(1, np.pi / 2).mat
+    u = dynamics.propagator_stack(3, [np.pi / 2])[0]
     amp = u[4, 0]  # g-sector level 1 row, e-sector level 0 column
     return float(abs(abs(amp) ** 2 - 1.0))
 
@@ -412,28 +398,16 @@ def _check_ppt_trace() -> float:
     field = thermal_field(0.1, 13)
     atom = bloch_qubit(BlochParams(0.7, 0.4, 0.0))
     joint = dynamics.evolve(product_state(atom, field), 2.2)
-    w = np.linalg.eigvalsh(entanglement.partial_transpose(joint))
+    w = np.linalg.eigvalsh(entanglement.partial_transpose(joint.mat, joint.dims))
     return float(abs(w.sum() - 1.0))
-
-
-class _TransposeCarrier:
-    """Feeds a transposed (possibly non-positive) matrix back into partial_transpose."""
-
-    def __init__(self, mat, dims):
-        self.mat = mat
-        self.dims = dims
-        self.dim = mat.shape[0]
-
-    def require_joint(self):
-        return self.dims
 
 
 def _check_ppt_involution() -> float:
     field = thermal_field(0.1, 5)
     atom = bloch_qubit(BlochParams(0.5, 0.3, 0.0))
     joint = dynamics.evolve(product_state(atom, field), 1.7)
-    once = entanglement.partial_transpose(joint)
-    twice = entanglement.partial_transpose(_TransposeCarrier(once, joint.dims))
+    once = entanglement.partial_transpose(joint.mat, joint.dims)
+    twice = entanglement.partial_transpose(once, joint.dims)
     return float(np.abs(twice - joint.mat).max())
 
 
@@ -493,41 +467,24 @@ def cmd_selfcheck() -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--n-bar", type=float, dest="n_bar")
-    parser.add_argument("--n-f", dest="n_f",
-                        type=lambda v: v if v == "auto" else int(v))
-    parser.add_argument("--t-max", type=float, dest="t_max")
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--artifact-threshold", type=float, dest="artifact_threshold")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", help="output CSV path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jcentropy",
         description="Resonant atom-cavity entropy exchange and entanglement diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_evolve = sub.add_parser("evolve", help="write one trajectory as CSV")
-    _add_common(p_evolve)
-    p_evolve.add_argument("--atom", help="ground | excited | r=..,theta=..[,phi=..]")
-
-    p_sweep = sub.add_parser("sweep", help="write a Bloch-sphere sweep as CSV")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--grid", type=_parse_grid, help="resolution, e.g. 51x51")
-    p_sweep.add_argument(
-        "--diagnostics",
-        type=lambda v: tuple(x.strip() for x in v.split(",") if x.strip()),
-        help="comma list from: exchange,mutual,ppt",
-    )
+    data_commands = {
+        "evolve": sub.add_parser("evolve", help="write one trajectory as CSV"),
+        "sweep": sub.add_parser("sweep", help="write a Bloch-sphere sweep as CSV"),
+    }
+    for p in data_commands.values():
+        p.add_argument("--config", help="flat key=value config file")
+    for key, field, _, commands, help_text in OPTIONS:
+        for command in commands:
+            data_commands[command].add_argument(f"--{key}", dest=field, help=help_text)
 
     p_fp = sub.add_parser("fixed-point", help="stationary atomic state as JSON")
-    p_fp.add_argument("--n-bar", type=float, dest="n_bar", required=True)
+    p_fp.add_argument("--n-bar", type=_finite_float, dest="n_bar", required=True)
 
     sub.add_parser("selfcheck", help="run the built-in invariant suite")
     return parser
@@ -542,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fixed-point":
             return cmd_fixed_point(args.n_bar)
         cfg = _build_config(args)
+        if cfg.out is None:
+            raise ConfigError(f"out: required for {args.command}")
         if args.command == "evolve":
             return cmd_evolve(cfg)
         if args.command == "sweep":

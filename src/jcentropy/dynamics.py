@@ -16,20 +16,21 @@ chosen so the tail mass is at the 1e-15 level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entanglement import ARTIFACT_THRESHOLD, PptReport, filter_artifact
+from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
 from .entropy import entropy_from_spectrum
 from .errors import InvalidParameter, NotHermitian, NotPositive, TraceNotOne
-from .linalg import ComplexMatrix, FloatArray
+from .linalg import FloatArray, eigvalsh
 from .states import (
     HERMITICITY_TOL,
     PSD_FLOOR,
     TRACE_TOL,
     DensityMatrix,
     FieldDistribution,
+    ladder,
     validate_density,
 )
 
@@ -37,36 +38,17 @@ from .states import (
 CHUNK = 512
 
 
-@dataclass(frozen=True)
-class RabiFrequencies:
-    """Coupling frequencies of the Fock ladder: alpha[n] = beta[n+1] = sqrt(n+1)."""
+def propagator_stack(f_dim: int, t_grid) -> np.ndarray:
+    """Closed-form propagators for every grid time, shape (len(t_grid), 2F, 2F).
 
-    alpha: FloatArray
-    beta: FloatArray
-
-
-def rabi_frequencies(n_levels: int) -> RabiFrequencies:
-    n = np.arange(n_levels, dtype=float)
-    return RabiFrequencies(alpha=np.sqrt(n + 1.0), beta=np.sqrt(n))
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """Unitary evolution operator for the truncated joint space at one time."""
-
-    n_f: int
-    t: float
-    mat: ComplexMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def _propagator_stack(f_dim: int, t_grid: FloatArray) -> np.ndarray:
-    """Propagators for every grid time, shape (len(t_grid), 2F, 2F)."""
-    roots = np.sqrt(np.arange(1.0, f_dim))  # pair frequencies sqrt(1)..sqrt(F-1)
-    phases = t_grid[:, None] * roots[None, :]
+    ``f_dim = n_f + 2`` is the field dimension.  Each propagator is exactly
+    unitary and U(0) = I.
+    """
+    if f_dim < 3:
+        raise InvalidParameter(f"n_f={f_dim - 2} must be >= 1")
+    t_grid = np.asarray(t_grid, dtype=float)
+    _, beta = ladder(f_dim)
+    phases = t_grid[:, None] * beta[None, 1:]  # pair frequencies sqrt(1)..sqrt(F-1)
     c = np.cos(phases)
     s = np.sin(phases)
     u = np.zeros((len(t_grid), 2 * f_dim, 2 * f_dim), dtype=np.complex128)
@@ -88,26 +70,17 @@ def _cached_stack(f_dim: int, t_grid: FloatArray) -> np.ndarray:
     key = (f_dim, t_grid.tobytes())
     stack = _STACK_CACHE.get(key)
     if stack is None:
-        stack = _propagator_stack(f_dim, t_grid)
+        stack = propagator_stack(f_dim, t_grid)
         if len(_STACK_CACHE) >= 2:
             _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
         _STACK_CACHE[key] = stack
     return stack
 
 
-def build_propagator(n_f: int, t: float) -> Propagator:
-    """Closed-form propagator on the truncated space; exactly unitary, U(0) = I."""
-    if n_f < 1:
-        raise InvalidParameter(f"n_f={n_f} must be >= 1")
-    f_dim = int(n_f) + 2
-    mat = _propagator_stack(f_dim, np.array([float(t)]))[0]
-    return Propagator(int(n_f), float(t), mat)
-
-
 def evolve(rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Conjugate the joint state by the propagator and revalidate the result."""
     _, d_f = rho0.require_joint()
-    u = build_propagator(d_f - 2, t).mat
+    u = propagator_stack(d_f, [t])[0]
     out = u @ rho0.mat @ u.conj().T
     return validate_density(out, rho0.dims)
 
@@ -125,13 +98,9 @@ def diagonal_evolve(
     if not 0.0 <= p_e <= 1.0:
         raise InvalidParameter(f"p_e={p_e} outside [0, 1]")
     p = np.asarray(field_state.probs, dtype=float)
-    f_dim = field_state.dim
     p_g = 1.0 - p_e
     t = float(t)
-    n = np.arange(f_dim, dtype=float)
-    beta = np.sqrt(n)
-    alpha = np.sqrt(n + 1.0)
-    alpha[-1] = 0.0  # top excited level is uncoupled on the truncated space
+    alpha, beta = ladder(field_state.dim)
     sin2_a, cos2_a = np.sin(alpha * t) ** 2, np.cos(alpha * t) ** 2
     sin2_b, cos2_b = np.sin(beta * t) ** 2, np.cos(beta * t) ** 2
 
@@ -165,22 +134,12 @@ def excitation_expectation(rho: DensityMatrix) -> float:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Entropies, purities, and diagnostics of one trajectory sample."""
-
-    t: float
-    s_atom: float
-    s_field: float
-    s_joint: float
-    purity_atom: float
-    purity_field: float
-    n_expectation: float
-    ppt: PptReport | None = None
-
-
-@dataclass(frozen=True)
 class TrajectoryData:
-    """Column-wise trajectory results; the PPT columns are None unless requested."""
+    """Column-wise trajectory results.
+
+    The last four columns are those of :class:`PptReport`, one entry per
+    sample; they are None unless requested.
+    """
 
     t: FloatArray
     s_atom: FloatArray
@@ -215,7 +174,6 @@ def trajectory_data(
     ppt: bool = False,
     artifact_threshold: float = ARTIFACT_THRESHOLD,
     full_verification: bool = True,
-    _report_sink: list | None = None,
 ) -> TrajectoryData:
     """Evolve ``rho0`` over the grid and collect all per-sample diagnostics.
 
@@ -229,7 +187,6 @@ def trajectory_data(
     """
     grid = _validate_grid(t_grid)
     d_a, d_f = rho0.require_joint()
-    dim = rho0.dim
     n_t = grid.size
 
     s_atom = np.empty(n_t)
@@ -238,10 +195,7 @@ def trajectory_data(
     purity_atom = np.empty(n_t)
     purity_field = np.empty(n_t)
     n_expect = np.empty(n_t)
-    lambda_m = np.empty(n_t) if ppt else None
-    n_sig = np.empty(n_t, dtype=int) if ppt else None
-    min_pt = np.empty(n_t) if ppt else None
-    art_mag = np.empty(n_t) if ppt else None
+    reports = []
 
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
@@ -261,7 +215,7 @@ def trajectory_data(
             raise TraceNotOne(complex(traces[worst]), TRACE_TOL)
 
         if full_verification:
-            w_joint = np.linalg.eigvalsh(rho_t)
+            w_joint = eigvalsh(rho_t)
             low = float(w_joint[:, 0].min())
             if low < PSD_FLOOR:
                 raise NotPositive(low, PSD_FLOOR)
@@ -283,39 +237,18 @@ def trajectory_data(
         s_atom[sl] = entropy_from_spectrum(w_atom)
         purity_atom[sl] = a * a + b * b + 2.0 * off * off
 
-        w_field = np.linalg.eigvalsh(r_field)
+        w_field = eigvalsh(r_field)
         s_field[sl] = entropy_from_spectrum(w_field)
         purity_field[sl] = (np.abs(r_field) ** 2).sum(axis=(1, 2))
         n_expect[sl] = np.einsum("tii,i->t", rho_t, weights).real
 
         if ppt:
-            transposed = np.ascontiguousarray(
-                blocks.transpose(0, 1, 4, 3, 2)
-            ).reshape(-1, dim, dim)
-            w_pt = np.linalg.eigvalsh(transposed)
-            neg = w_pt < 0.0
-            significant = neg & (np.abs(w_pt) >= artifact_threshold)
-            n_sig[sl] = significant.sum(axis=1)
-            lam = np.where(significant, w_pt, 0.0).min(axis=1)
-            lambda_m[sl] = lam
-            min_pt[sl] = w_pt[:, 0]
-            artifacts = neg & ~significant
-            art_mag[sl] = np.where(artifacts, -w_pt, 0.0).max(axis=1)
-            if _report_sink is not None:
-                for row in range(w_pt.shape[0]):
-                    w = w_pt[row]
-                    negatives = w[w < 0.0]
-                    art, sig = filter_artifact(negatives, artifact_threshold)
-                    _report_sink.append(
-                        PptReport(
-                            eigenvalues=w,
-                            negatives=negatives,
-                            artifact_count=int(art.size),
-                            significant_negatives=sig,
-                            lambda_m=float(sig[0]) if sig.size else 0.0,
-                        )
-                    )
+            reports.append(ppt_report(rho_t, (d_a, d_f), artifact_threshold))
 
+    ppt_columns = {
+        f.name: np.concatenate([getattr(r, f.name) for r in reports])
+        for f in fields(PptReport)
+    } if ppt else {}
     return TrajectoryData(
         t=grid,
         s_atom=s_atom,
@@ -324,42 +257,5 @@ def trajectory_data(
         purity_atom=purity_atom,
         purity_field=purity_field,
         n_expectation=n_expect,
-        lambda_m=lambda_m,
-        n_significant=n_sig,
-        min_transpose_eigenvalue=min_pt,
-        artifact_magnitude=art_mag,
+        **ppt_columns,
     )
-
-
-def trajectory(
-    rho0: DensityMatrix,
-    t_grid,
-    ppt: bool = False,
-    artifact_threshold: float = ARTIFACT_THRESHOLD,
-    full_verification: bool = True,
-) -> list[TrajectoryRecord]:
-    """Record view of :func:`trajectory_data`, one record per grid time."""
-    reports: list | None = [] if ppt else None
-    data = trajectory_data(
-        rho0,
-        t_grid,
-        ppt=ppt,
-        artifact_threshold=artifact_threshold,
-        full_verification=full_verification,
-        _report_sink=reports,
-    )
-    records = []
-    for k in range(len(data)):
-        records.append(
-            TrajectoryRecord(
-                t=float(data.t[k]),
-                s_atom=float(data.s_atom[k]),
-                s_field=float(data.s_field[k]),
-                s_joint=float(data.s_joint[k]),
-                purity_atom=float(data.purity_atom[k]),
-                purity_field=float(data.purity_field[k]),
-                n_expectation=float(data.n_expectation[k]),
-                ppt=reports[k] if reports is not None else None,
-            )
-        )
-    return records

@@ -5,134 +5,95 @@ entanglement.  On a truncated Fock basis the transposed matrix of an exactly
 separable state can still show one spurious negative eigenvalue whose
 magnitude tracks the discarded tail of the photon-number distribution, so
 negatives are split into truncation artifacts and significant ones before any
-verdict is drawn.
+verdict is drawn.  Positivity of the partial transpose is only a necessary
+condition for separability at these dimensions (2 x N with N > 3), so a clean
+spectrum proves nothing.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, NotHermitian
-from .linalg import ComplexMatrix, FloatArray, hermiticity_residual
-from .states import DensityMatrix
+from .errors import InvalidParameter, TraceNotOne
+from .linalg import ComplexMatrix, FloatArray, eigvalsh
 
-HERMITICITY_TOL = 1e-12
 # Well above the observed artifact scale (1e-16 .. 1e-18 at the default
 # truncation) and below any physical negativity at these dimensions.
 ARTIFACT_THRESHOLD = 1e-12
+# Max |sum of eigenvalues - 1| of a partial transpose.
+PT_TRACE_TOL = 1e-10
 
 # E for a trajectory whose averaged peak negativity is exactly zero.
 SEPARABLE_GRADE = float("-inf")
 
 
-class PptVerdict(enum.Enum):
-    ENTANGLED = "entangled"
-    INDETERMINATE = "indeterminate"
-
-
 @dataclass(frozen=True)
 class PptReport:
-    """Eigenvalue analysis of a partially transposed joint state.
+    """Negativity analysis of partially transposed joint states, one entry per state.
 
-    ``lambda_m`` is the largest-magnitude significant negative eigenvalue
-    (0.0 when there is none).
+    ``lambda_m`` is the most negative significant eigenvalue (0.0 when there
+    is none), ``n_significant`` counts the negatives of magnitude at least the
+    artifact threshold, ``min_transpose_eigenvalue`` is the smallest
+    eigenvalue, and ``artifact_magnitude`` is the largest magnitude among the
+    negatives below the threshold (0.0 when there is none).
     """
 
-    eigenvalues: FloatArray
-    negatives: FloatArray
-    artifact_count: int
-    significant_negatives: FloatArray
-    lambda_m: float
+    lambda_m: FloatArray
+    n_significant: np.ndarray
+    min_transpose_eigenvalue: FloatArray
+    artifact_magnitude: FloatArray
 
 
-def partial_transpose(rho: DensityMatrix) -> ComplexMatrix:
-    """Transpose the field factor of a joint state: out[ia, jb] = rho[ib, ja].
+def partial_transpose(mat, dims: tuple[int, int]) -> ComplexMatrix:
+    """Transpose the field factor: out[ia, jb] = mat[ib, ja].
 
-    The result is Hermitian and unit trace but not necessarily positive; its
-    negative eigenvalues are the entanglement signal.
+    ``mat`` is one joint matrix or a ``(..., D, D)`` stack of them with
+    ``dims = (d_atom, d_field)``.  The result is Hermitian and unit trace for
+    a density matrix but not necessarily positive; its negative eigenvalues
+    are the entanglement signal.
     """
-    d_a, d_f = rho.require_joint()
-    blocks = rho.mat.reshape(d_a, d_f, d_a, d_f)
-    return np.ascontiguousarray(blocks.transpose(0, 3, 2, 1)).reshape(rho.dim, rho.dim)
-
-
-def negative_eigenvalues(
-    mat: ComplexMatrix, herm_tol: float = HERMITICITY_TOL
-) -> FloatArray:
-    """Strictly negative eigenvalues of a Hermitian matrix, ascending."""
-    residual = hermiticity_residual(mat)
-    if residual > herm_tol:
-        raise NotHermitian(residual, herm_tol)
-    w = np.linalg.eigvalsh(mat)
-    return w[w < 0.0]
-
-
-def filter_artifact(
-    negatives: Sequence[float], threshold: float = ARTIFACT_THRESHOLD
-) -> tuple[FloatArray, FloatArray]:
-    """Split negatives into truncation artifacts (|v| < threshold) and significant ones."""
-    if threshold <= 0:
-        raise InvalidParameter(f"threshold={threshold} must be positive")
-    neg = np.asarray(negatives, dtype=float)
-    small = np.abs(neg) < threshold
-    return neg[small], neg[~small]
+    d_a, d_f = dims
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    blocks = mat.reshape(*lead, d_a, d_f, d_a, d_f)
+    dim = d_a * d_f
+    return np.ascontiguousarray(np.swapaxes(blocks, -1, -3)).reshape(*lead, dim, dim)
 
 
 def ppt_report(
-    rho: DensityMatrix, threshold: float = ARTIFACT_THRESHOLD
+    mat, dims: tuple[int, int], threshold: float = ARTIFACT_THRESHOLD
 ) -> PptReport:
-    """Full negativity analysis of one joint state."""
-    transposed = partial_transpose(rho)
-    w = np.linalg.eigvalsh(transposed)
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise InvalidParameter(
-            f"partial transpose lost trace: eigenvalue sum {total!r}"
-        )
-    negatives = w[w < 0.0]
-    artifacts, significant = filter_artifact(negatives, threshold)
-    lambda_m = float(significant[0]) if significant.size else 0.0
+    """Negativity analysis of one joint density matrix or a ``(..., D, D)`` stack.
+
+    Raises :class:`TraceNotOne` when an eigenvalue sum of the partial
+    transpose leaves 1 by more than ``PT_TRACE_TOL``.
+    """
+    if threshold <= 0:
+        raise InvalidParameter(f"threshold={threshold} must be positive")
+    w = eigvalsh(partial_transpose(mat, dims))
+    totals = np.ravel(w.sum(axis=-1))
+    worst = totals[np.argmax(np.abs(totals - 1.0))]
+    if abs(worst - 1.0) > PT_TRACE_TOL:
+        raise TraceNotOne(complex(worst), PT_TRACE_TOL)
+    neg = w < 0.0
+    significant = neg & (np.abs(w) >= threshold)
     return PptReport(
-        eigenvalues=w,
-        negatives=negatives,
-        artifact_count=int(artifacts.size),
-        significant_negatives=significant,
-        lambda_m=lambda_m,
+        lambda_m=np.where(significant, w, 0.0).min(axis=-1),
+        n_significant=significant.sum(axis=-1),
+        min_transpose_eigenvalue=w[..., 0],
+        artifact_magnitude=np.where(neg & ~significant, -w, 0.0).max(axis=-1),
     )
 
 
 def negativity_exponent(lambda_mean: float) -> float:
-    """log10 of |lambda_mean|, or the separable-grade sentinel when it is zero."""
+    """E = log10 |lambda_mean|, or the separable-grade sentinel when it is zero.
+
+    Applied to the time average of ``lambda_m`` over a trajectory, this is
+    the entanglement measure of that trajectory.
+    """
     if lambda_mean == 0.0:
         return SEPARABLE_GRADE
     return math.log10(abs(lambda_mean))
-
-
-def e_measure(reports: Iterable[PptReport]) -> float:
-    """Entanglement measure of a trajectory: log10 of the time-averaged peak negativity.
-
-    Averages ``lambda_m`` over all samples, counting 0 for samples with no
-    significant negative eigenvalue; returns the separable-grade sentinel
-    (-inf) when the average is exactly zero.
-    """
-    lambdas = [r.lambda_m for r in reports]
-    if not lambdas:
-        raise InvalidParameter("e_measure needs a non-empty trajectory")
-    return negativity_exponent(float(np.mean(lambdas)))
-
-
-def ppt_verdict(report: PptReport) -> PptVerdict:
-    """ENTANGLED on any significant negative eigenvalue, else INDETERMINATE.
-
-    Positivity of the partial transpose is only a necessary condition for
-    separability at these dimensions (2 x N with N > 3), so a clean spectrum
-    proves nothing.
-    """
-    if report.significant_negatives.size:
-        return PptVerdict.ENTANGLED
-    return PptVerdict.INDETERMINATE

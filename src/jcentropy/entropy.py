@@ -9,13 +9,13 @@ and fall together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import AllStepsSkipped, InvalidParameter
 from .linalg import FloatArray
-from .states import DensityMatrix, FieldDistribution, partial_trace
+from .states import DensityMatrix, FieldDistribution, ladder, partial_trace
 
 # Spectrum values below this are treated as exact zeros before taking logs;
 # it sits well above the eigensolver noise floor.
@@ -98,17 +98,9 @@ class EntropySeries:
                 raise InvalidParameter(f"{name} leaves (0, 1]")
 
     @classmethod
-    def from_records(cls, records) -> "EntropySeries":
-        """Build from any sequence of objects carrying the per-sample fields."""
-        get = lambda name: np.array([getattr(r, name) for r in records], dtype=float)
-        return cls(
-            t=get("t"),
-            s_atom=get("s_atom"),
-            s_field=get("s_field"),
-            s_joint=get("s_joint"),
-            purity_atom=get("purity_atom"),
-            purity_field=get("purity_field"),
-        )
+    def from_trajectory(cls, data) -> "EntropySeries":
+        """The entropy and purity columns of a trajectory (``TrajectoryData``)."""
+        return cls(**{f.name: getattr(data, f.name) for f in fields(cls)})
 
     def __len__(self) -> int:
         return len(self.t)
@@ -186,21 +178,6 @@ def mutual_entropy_ratio(series: EntropySeries, eps: float = DEFAULT_EPS) -> Mut
     return MutualRatioResult(r_bar, used, skipped)
 
 
-def _ladder(field: FieldDistribution):
-    """Probabilities with the coupling frequencies of the truncated ladder.
-
-    beta[n] = sqrt(n) couples the ground sector downward; alpha[n] = sqrt(n+1)
-    couples the excited sector upward, except that the top excited level has
-    nothing above it after truncation and is therefore uncoupled (alpha = 0).
-    """
-    p = np.asarray(field.probs, dtype=float)
-    n = np.arange(field.dim, dtype=float)
-    beta = np.sqrt(n)
-    alpha = np.sqrt(n + 1.0)
-    alpha[-1] = 0.0
-    return p, alpha, beta
-
-
 def purity_rate_exact(
     initial: str, field: FieldDistribution, t: float
 ) -> tuple[float, float]:
@@ -210,7 +187,8 @@ def purity_rate_exact(
     to a diagonal field, where the partial states stay diagonal and the rates
     reduce to finite trigonometric sums over the truncated distribution.
     """
-    p, alpha, beta = _ladder(field)
+    p = np.asarray(field.probs, dtype=float)
+    alpha, beta = ladder(field.dim)
     t = float(t)
     if initial == "ground":
         sin2 = np.sin(beta * t) ** 2

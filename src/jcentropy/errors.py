@@ -48,6 +48,16 @@ class NotPositive(ValidationError):
         )
 
 
+class ConservationViolation(ValidationError):
+    """A conserved quantity drifted along a trajectory beyond tolerance."""
+
+    def __init__(self, quantity: str, drift: float, tol: float):
+        self.quantity = quantity
+        self.drift = drift
+        self.tol = tol
+        super().__init__(f"{quantity} drifted by {drift:.3e} > {tol:.1e}")
+
+
 class NoConvergence(RuntimeError):
     """The eigensolver failed to converge."""
 

@@ -2,8 +2,8 @@
 
 Operators and density matrices are plain square ``numpy`` arrays of
 ``complex128``; this module wraps the handful of operations the rest of the
-package needs behind explicit error types and tolerances.  Matrices here are
-small (dimension of order a hundred), so everything is dense.
+package needs behind explicit error types.  Matrices here are small
+(dimension of order a hundred), so everything is dense.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence
 
 ComplexMatrix = npt.NDArray[np.complex128]
 FloatArray = npt.NDArray[np.float64]
-
-# Max elementwise |H - H^dag| accepted by the Hermitian eigensolver.
-HERMITICITY_TOL = 1e-12
 
 
 def as_complex_matrix(a) -> ComplexMatrix:
@@ -35,48 +32,19 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
-def adjoint(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
-def trace(a: ComplexMatrix) -> complex:
-    return complex(np.trace(np.asarray(a)))
-
-
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def hermiticity_residual(h: ComplexMatrix) -> float:
     """Max elementwise |H - H^dag|."""
     h = np.asarray(h)
     return float(np.abs(h - h.conj().T).max()) if h.size else 0.0
 
 
-def hermitian_eig(
-    h: ComplexMatrix,
-    vectors: bool = False,
-    herm_tol: float = HERMITICITY_TOL,
-):
-    """Eigenvalues (ascending) of a Hermitian matrix, optionally with eigenvectors.
+def eigvalsh(h) -> FloatArray:
+    """Ascending eigenvalues of a Hermitian matrix or a ``(..., D, D)`` stack.
 
-    Raises :class:`NotHermitian` when the Hermiticity residual exceeds
-    ``herm_tol`` and :class:`NoConvergence` if the underlying solver fails.
-    Returns ``w`` or ``(w, V)`` with columns of ``V`` the eigenvectors.
+    Raises :class:`NoConvergence` if the solver fails; the caller checks
+    Hermiticity.
     """
-    h = as_complex_matrix(h)
-    residual = hermiticity_residual(h)
-    if residual > herm_tol:
-        raise NotHermitian(residual, herm_tol)
     try:
-        if vectors:
-            w, v = np.linalg.eigh(h)
-            return w, v
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc

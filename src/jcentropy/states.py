@@ -21,8 +21,16 @@ from .errors import (
     NotPositive,
     TraceNotOne,
 )
-from .linalg import ComplexMatrix, FloatArray, as_complex_matrix, hermiticity_residual, kron
+from .linalg import (
+    ComplexMatrix,
+    FloatArray,
+    as_complex_matrix,
+    eigvalsh,
+    hermiticity_residual,
+    kron,
+)
 
+# Max elementwise |M - M^dag| accepted for a density matrix.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # Eigensolver noise floor at these dimensions; eigenvalues above it count as >= 0.
@@ -55,6 +63,19 @@ class FieldDistribution:
         return DensityMatrix(mat, (self.dim,), np.sort(self.probs))
 
 
+def ladder(f_dim: int) -> tuple[FloatArray, FloatArray]:
+    """Rabi frequencies of the truncated Fock ladder, indexed by field level n.
+
+    alpha[n] = sqrt(n+1) couples |e,n> to |g,n+1>; beta[n] = sqrt(n) couples
+    |g,n> to |e,n-1>.  The top excited level has no partner above it after
+    truncation and is therefore uncoupled: alpha[-1] = 0.
+    """
+    n = np.arange(f_dim, dtype=float)
+    alpha = np.sqrt(n + 1.0)
+    alpha[-1] = 0.0
+    return alpha, np.sqrt(n)
+
+
 @dataclass(frozen=True)
 class BlochParams:
     """Bloch-ball coordinates of a qubit state: vector length and two angles.
@@ -75,27 +96,6 @@ class BlochParams:
             raise InvalidParameter(f"theta={self.theta} outside [-pi/2, pi/2]")
         if not 0.0 <= self.phi < 2 * np.pi:
             raise InvalidParameter(f"phi={self.phi} outside [0, 2*pi)")
-
-
-@dataclass(frozen=True)
-class BoltzmannRatio:
-    """Population ratio exp(-hbar*omega / kB*T) of adjacent levels at temperature T.
-
-    For a thermal field this equals n_bar / (n_bar + 1); all temperature and
-    frequency dependence enters the model only through this number.
-    """
-
-    ratio: float
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise InvalidParameter(f"Boltzmann ratio {self.ratio} outside (0, 1)")
-
-    @classmethod
-    def from_mean_photon_number(cls, n_bar: float) -> "BoltzmannRatio":
-        if n_bar <= 0:
-            raise InvalidParameter(f"n_bar={n_bar} must be positive for a finite temperature")
-        return cls(n_bar / (n_bar + 1.0))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def validate_density(
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > trace_tol:
         raise TraceNotOne(tr, trace_tol)
-    w = np.linalg.eigvalsh(m)
+    w = eigvalsh(m)
     if w[0] < psd_floor:
         raise NotPositive(float(w[0]), psd_floor)
     return DensityMatrix(m, tuple(int(d) for d in dims), w)

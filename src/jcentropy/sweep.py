@@ -24,7 +24,13 @@ from .entropy import (
     exchange_parameter,
     mutual_entropy_ratio,
 )
-from .errors import AllStepsSkipped, InvalidParameter, ValidationError
+from .errors import (
+    AllStepsSkipped,
+    ConservationViolation,
+    InvalidParameter,
+    NoConvergence,
+    ValidationError,
+)
 from .linalg import FloatArray
 from .states import BlochParams, bloch_qubit, product_state, thermal_field
 
@@ -32,6 +38,8 @@ from .states import BlochParams, bloch_qubit, product_state, thermal_field
 # and conservation assertions; selection is deterministic so sweeps stay
 # reproducible byte for byte.
 SPOT_CHECK_STRIDE = 20
+# Max excitation-number drift accepted along a spot-checked trajectory.
+EXCITATION_DRIFT_TOL = 1e-12
 
 DIAGNOSTICS = frozenset({"exchange", "mutual", "ppt"})
 
@@ -66,7 +74,15 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class SweepCell:
-    """Diagnostics of one initial atomic state; None marks unavailable values."""
+    """Diagnostics of one initial atomic state; None marks unavailable values.
+
+    ``worst_negative`` is the smallest partial-transpose eigenvalue along the
+    trajectory and ``artifact_magnitude`` the largest magnitude among the
+    negatives below the artifact threshold.  On a cell with
+    ``n_significant_negatives > 0`` the latter can be the onset of a genuine
+    eigenvalue crossing the threshold band on its way to significance, not
+    truncation noise, so read it together with the significant count.
+    """
 
     theta: float
     r: float
@@ -135,16 +151,11 @@ def _evaluate_cell(
         )
         if full_verification:
             drift = float(data.n_expectation.max() - data.n_expectation.min())
-            if drift > 1e-12:
-                raise RuntimeError(f"excitation number drifted by {drift:.3e}")
-        series = EntropySeries(
-            t=data.t,
-            s_atom=data.s_atom,
-            s_field=data.s_field,
-            s_joint=data.s_joint,
-            purity_atom=data.purity_atom,
-            purity_field=data.purity_field,
-        )
+            if drift > EXCITATION_DRIFT_TOL:
+                raise ConservationViolation(
+                    "excitation number", drift, EXCITATION_DRIFT_TOL
+                )
+        series = EntropySeries.from_trajectory(data)
         if "exchange" in diagnostics:
             try:
                 p = exchange_parameter(series, eps).p
@@ -160,7 +171,7 @@ def _evaluate_cell(
             worst = float(data.min_transpose_eigenvalue.min())
             art = float(data.artifact_magnitude.max())
             e = negativity_exponent(float(data.lambda_m.mean()))
-    except (ValidationError, InvalidParameter) as exc:
+    except (ValidationError, InvalidParameter, NoConvergence) as exc:
         status.append(f"error:{type(exc).__name__}")
     return SweepCell(
         theta=float(theta),

@@ -24,6 +24,7 @@ from jcentropy import (
     exchange_region,
     partial_trace,
     product_state,
+    propagator_stack,
     purity_rate_approx,
     purity_rate_exact,
     run_sweep,
@@ -32,7 +33,6 @@ from jcentropy import (
     validate_density,
     von_neumann,
 )
-from jcentropy.dynamics import _cached_stack
 from jcentropy.entropy import entropy_from_spectrum
 
 T_GRID = np.arange(0.0, 25.005, 0.01)
@@ -41,13 +41,6 @@ T_GRID = np.arange(0.0, 25.005, 0.01)
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} [{detail}]")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _series(data) -> EntropySeries:
-    return EntropySeries(
-        data.t, data.s_atom, data.s_field, data.s_joint,
-        data.purity_atom, data.purity_field,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +95,7 @@ def _diagonal_oracle_series(p_e: float, field, t_grid) -> EntropySeries:
 
 
 def test_c02_ground_state_exchange_regime(field01, ground_data):
-    p = exchange_parameter(_series(ground_data)).p
+    p = exchange_parameter(EntropySeries.from_trajectory(ground_data)).p
     p_oracle = exchange_parameter(_diagonal_oracle_series(0.0, field01, T_GRID)).p
     ds_a = ground_data.s_atom - ground_data.s_atom[0]
     ds_f = ground_data.s_field - ground_data.s_field[0]
@@ -122,12 +115,12 @@ def test_c02_ground_state_exchange_regime(field01, ground_data):
 
 
 def test_c03_excited_state_cofluctuation(excited_data):
-    p = exchange_parameter(_series(excited_data)).p
+    p = exchange_parameter(EntropySeries.from_trajectory(excited_data)).p
     _report(3, "excited_state_cofluctuation", p > 0.0, f"P={p:.4f} (need > 0)")
 
 
 def test_c04_near_complete_exchange(near_complete_data):
-    p = exchange_parameter(_series(near_complete_data)).p
+    p = exchange_parameter(EntropySeries.from_trajectory(near_complete_data)).p
     ds_a = near_complete_data.s_atom - near_complete_data.s_atom[0]
     ds_sum = ds_a + (near_complete_data.s_field - near_complete_data.s_field[0])
     ratio = float(np.ptp(ds_a) / np.ptp(ds_sum))
@@ -209,7 +202,7 @@ def test_c08_conservation_suite(field01, ground_data, excited_data, near_complet
         float(np.ptp(d.n_expectation))
         for d in (ground_data, excited_data, near_complete_data)
     )
-    stack = _cached_stack(field01.dim, T_GRID)
+    stack = propagator_stack(field01.dim, T_GRID)
     eye = np.eye(stack.shape[1])
     unitarity = 0.0
     trace_residual = 0.0

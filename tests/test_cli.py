@@ -85,6 +85,21 @@ class TestEvolveCommand:
         assert meta["tail_mass"] < 1e-14
         assert meta["rows"] == 11
         assert "wall_time_s" in meta
+        # the echo holds exactly the settings evolve takes
+        assert set(meta["config"]) == {
+            "n_bar", "n_f", "atom", "t_max", "dt", "eps", "artifact_threshold",
+            "workers", "out",
+        }
+        assert meta["config"]["atom"] == "excited"
+
+    def test_solver_failure_exits_numerical(self, tmp_path, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        out = tmp_path / "x.csv"
+        assert run(["evolve", "--n-f", "4", "--t-max", "0.2", "--dt", "0.1",
+                    "--out", str(out)]) == 3
 
     def test_missing_out_is_config_error(self):
         assert run(["evolve", "--n-bar", "0.1"]) == 2
@@ -138,6 +153,22 @@ class TestSweepCommand:
         assert rows[0][4] == "-inf"
         assert float(rows[0][4]) == float("-inf")
 
+    def test_sidecar_metadata(self, tmp_path):
+        out = tmp_path / "meta.csv"
+        assert run(["sweep", "--n-bar", "0.1", "--n-f", "6", "--grid", "2x1",
+                    "--t-max", "1.0", "--dt", "0.5", "--workers", "2",
+                    "--out", str(out)]) == 0
+        meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
+        # the echo holds exactly the settings sweep takes
+        assert set(meta["config"]) == {
+            "n_bar", "n_f", "t_max", "dt", "eps", "artifact_threshold",
+            "diagnostics", "grid", "workers", "out",
+        }
+        assert meta["config"]["grid"] == [2, 1]
+        assert meta["config"]["workers"] == 2
+        assert meta["workers"] == 2
+        assert meta["rows"] == 2
+
     def test_unknown_diagnostic_is_config_error(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(["sweep", "--diagnostics", "exchange,bogus", "--out", str(out)]) == 2
@@ -169,6 +200,24 @@ class TestConfigFile:
         config.write_text("dt = fast\n")
         assert run(["evolve", "--config", str(config), "--out", "x.csv"]) == 2
         assert "dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n-bar", "t-max", "dt", "eps", "artifact-threshold"])
+def test_non_finite_value_names_field(key, tmp_path, capsys):
+    # as a flag and as a config-file key, each non-finite value is a config error
+    base = {"n-bar": "0.1", "n-f": "4", "t-max": "0.2", "dt": "0.1",
+            "eps": "1e-9", "artifact-threshold": "1e-12"}
+    out = str(tmp_path / "x.csv")
+    for text in ("nan", "inf", "-inf"):
+        values = {**base, key: text}
+        flags = [f"--{k}={v}" for k, v in values.items()]
+        assert run(["evolve", *flags, "--out", out]) == 2
+        assert f"{key}:" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert run(["sweep", "--config", str(config), "--grid", "1x1",
+                    "--out", out]) == 2
+        assert f"{key}:" in capsys.readouterr().err
 
 
 class TestSelfcheck:

@@ -6,40 +6,45 @@ from conftest import random_density, random_pure_product
 from jcentropy import (
     BlochParams,
     InvalidParameter,
+    NoConvergence,
     bloch_qubit,
-    build_propagator,
     diagonal_evolve,
     evolve,
     excitation_expectation,
+    ladder,
     partial_trace,
+    ppt_report,
     product_state,
-    rabi_frequencies,
+    propagator_stack,
     thermal_field,
-    trajectory,
     trajectory_data,
     validate_density,
 )
 
 
+def propagator(n_f, t):
+    return propagator_stack(n_f + 2, [t])[0]
+
+
 class TestPropagator:
     def test_identity_at_zero(self):
-        u = build_propagator(13, 0.0).mat
+        u = propagator(13, 0.0)
         assert np.array_equal(u, np.eye(30, dtype=complex))
 
     @pytest.mark.parametrize("t", [0.3, 1.7, 7.3, 24.99])
     def test_unitary(self, t):
-        u = build_propagator(13, t).mat
+        u = propagator(13, t)
         assert np.linalg.norm(u.conj().T @ u - np.eye(30)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.9, 5.21])
     def test_group_inverse(self, t):
-        forward = build_propagator(8, t).mat
-        backward = build_propagator(8, -t).mat
+        forward = propagator(8, t)
+        backward = propagator(8, -t)
         assert np.linalg.norm(forward @ backward - np.eye(20)) < 1e-12
 
     def test_quarter_period_flip(self):
         # two-level closed solution: |e,0> -> -i sin(t)|g,1> at t = pi/2
-        u = build_propagator(1, np.pi / 2).mat
+        u = propagator(1, np.pi / 2)
         f_dim = 3
         e0 = 0
         g1 = f_dim + 1
@@ -48,24 +53,31 @@ class TestPropagator:
 
     def test_rejects_tiny_space(self):
         with pytest.raises(InvalidParameter):
-            build_propagator(0, 1.0)
+            propagator_stack(2, [1.0])  # n_f = 0
 
     def test_block_frequencies(self):
         # diagonal entries carry cos(t sqrt(n+1)) and cos(t sqrt(n))
         t = 0.77
-        u = build_propagator(3, t).mat
+        u = propagator(3, t)
         f_dim = 5
         for n in range(f_dim - 1):
             assert abs(u[n, n] - np.cos(t * np.sqrt(n + 1))) < 1e-15
         for n in range(f_dim):
             assert abs(u[f_dim + n, f_dim + n] - np.cos(t * np.sqrt(n))) < 1e-15
 
+    def test_stack_matches_single_times(self):
+        grid = np.array([0.0, 0.4, 3.1])
+        stack = propagator_stack(10, grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(stack[k], propagator(8, t))
+
 
 class TestRabiFrequencies:
     def test_ladder_identity(self):
-        freqs = rabi_frequencies(10)
-        assert_allclose(freqs.alpha[:-1], freqs.beta[1:])
-        assert_allclose(freqs.beta, np.sqrt(np.arange(10.0)))
+        alpha, beta = ladder(10)
+        assert np.array_equal(alpha[:-1], beta[1:])
+        assert_allclose(beta, np.sqrt(np.arange(10.0)))
+        assert alpha[-1] == 0.0  # the top excited level is uncoupled
 
 
 class TestEvolve:
@@ -175,9 +187,9 @@ class TestExcitation:
 class TestTrajectory:
     def test_record_count_and_grid(self, ground_joint):
         grid = np.arange(0.0, 2.0, 0.25)
-        records = trajectory(ground_joint, grid)
-        assert len(records) == len(grid)
-        assert records[0].t == 0.0
+        data = trajectory_data(ground_joint, grid)
+        assert len(data) == len(grid)
+        assert np.array_equal(data.t, grid)
 
     def test_joint_entropy_constant(self, rng, field01):
         joint = product_state(random_density(rng, 2), field01)
@@ -187,12 +199,9 @@ class TestTrajectory:
     def test_stationary_state_records_identical(self, field01):
         atom = validate_density(np.diag([1 / 12, 11 / 12]).astype(complex), (2,))
         joint = product_state(atom, field01)
-        records = trajectory(joint, np.arange(0.0, 3.0, 0.5))
-        first = records[0]
-        for rec in records[1:]:
-            assert abs(rec.s_atom - first.s_atom) < 1e-12
-            assert abs(rec.s_field - first.s_field) < 1e-12
-            assert abs(rec.purity_atom - first.purity_atom) < 1e-12
+        data = trajectory_data(joint, np.arange(0.0, 3.0, 0.5))
+        for column in (data.s_atom, data.s_field, data.purity_atom):
+            assert np.abs(column - column[0]).max() < 1e-12
 
     def test_excitation_drift(self, rng, field01):
         joint = product_state(random_density(rng, 2), field01)
@@ -230,13 +239,25 @@ class TestTrajectory:
             data = trajectory_data(joint, np.arange(0.0, 6.0, 0.05))
             assert np.abs(data.s_atom - data.s_field).max() < 1e-10
 
-    def test_ppt_columns(self, ground_joint):
+    def test_ppt_columns(self, excited_joint):
+        # the batched columns agree with a single-state report per sample
         grid = np.arange(0.0, 1.0, 0.2)
-        data = trajectory_data(ground_joint, grid, ppt=True)
+        data = trajectory_data(excited_joint, grid, ppt=True)
         assert data.lambda_m is not None and len(data.lambda_m) == len(grid)
-        records = trajectory(ground_joint, grid, ppt=True)
-        assert records[2].ppt is not None
-        assert records[2].ppt.lambda_m == data.lambda_m[2]
+        for k, t in enumerate(grid):
+            evolved = evolve(excited_joint, t)
+            report = ppt_report(evolved.mat, evolved.dims)
+            assert abs(report.lambda_m - data.lambda_m[k]) < 1e-12
+            assert report.n_significant == data.n_significant[k]
+        assert data.n_significant.max() >= 1
+
+    def test_solver_failure_is_no_convergence(self, ground_joint, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence):
+            trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5))
 
     def test_grid_validation(self, ground_joint):
         with pytest.raises(InvalidParameter):

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jcentropy import (
-    DimensionMismatch,
-    NotHermitian,
-    adjoint,
-    hermitian_eig,
-    kron,
-    matmul,
-    trace,
-)
+from jcentropy import NoConvergence, eigvalsh, kron
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -33,7 +25,7 @@ class TestKron:
         b = random_complex(rng, 3)
         # oracle: direct product of the separately computed traces
         expected = (np.diag(a).sum()) * (np.diag(b).sum())
-        assert abs(trace(kron(a, b)) - expected) < 1e-12
+        assert abs(np.trace(kron(a, b)) - expected) < 1e-12
 
     def test_associativity(self, rng):
         a, b, c = (random_complex(rng, n) for n in (2, 3, 2))
@@ -50,68 +42,33 @@ class TestKron:
 
 class TestHermitianEig:
     def test_pauli_z(self):
-        assert_allclose(hermitian_eig(SIGMA_Z), [-1.0, 1.0])
+        assert_allclose(eigvalsh(SIGMA_Z), [-1.0, 1.0])
 
     def test_sorts_diagonal(self):
-        w = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        w = eigvalsh(np.diag([3.0, 1.0, 2.0]).astype(complex))
         assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_reconstruction(self, rng):
-        h = random_complex(rng, 8)
-        h = h + h.conj().T
-        w, v = hermitian_eig(h, vectors=True)
-        assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - h) < 1e-9
-
-    def test_diagonalizes(self, rng):
-        h = random_complex(rng, 6)
-        h = h + h.conj().T
-        w, v = hermitian_eig(h, vectors=True)
-        off = v.conj().T @ h @ v - np.diag(w)
-        assert np.abs(off).max() < 1e-9
 
     def test_eigenvalue_sum_is_trace(self, rng):
         for n in (2, 5, 16):
             h = random_complex(rng, n)
             h = h + h.conj().T
-            w = hermitian_eig(h)
-            assert abs(w.sum() - trace(h).real) < 1e-10 * n
+            w = eigvalsh(h)
+            assert abs(w.sum() - np.trace(h).real) < 1e-10 * n
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian) as info:
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        assert info.value.residual > 0.5
+    def test_stack_matches_single(self, rng):
+        stack = np.stack([random_complex(rng, 5) for _ in range(3)])
+        stack = stack + stack.conj().transpose(0, 2, 1)
+        batched = eigvalsh(stack)
+        for k in range(3):
+            assert np.array_equal(batched[k], eigvalsh(stack[k]))
 
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatch):
-            hermitian_eig(np.zeros((2, 3), dtype=complex))
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_rejects_non_finite(self):
-        bad = np.eye(2, dtype=complex)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            hermitian_eig(bad)
-
-
-class TestBasicOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(4)) == 4.0
-
-    def test_matmul_identity(self, rng):
-        a = random_complex(rng, 5)
-        assert_allclose(matmul(a, np.eye(5)), a)
-
-    def test_matmul_shape_check(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(np.eye(2), np.eye(3))
-
-    def test_trace_cyclic(self, rng):
-        a = random_complex(rng, 5)
-        b = random_complex(rng, 5)
-        assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
-
-    def test_adjoint_involution(self, rng):
-        a = random_complex(rng, 4)
-        assert np.array_equal(adjoint(adjoint(a)), a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence):
+            eigvalsh(SIGMA_Z)
 
 
 @st.composite
@@ -132,7 +89,7 @@ def hermitian_matrices(draw, max_dim=8):
 @settings(max_examples=50, deadline=None)
 @given(hermitian_matrices())
 def test_eigenvalues_real_ascending_and_sum_to_trace(h):
-    w = hermitian_eig(h)
+    w = eigvalsh(h)
     assert np.all(np.diff(w) >= -1e-12)
     assert abs(w.sum() - np.trace(h).real) < 1e-10 * h.shape[0]
 
@@ -145,4 +102,4 @@ def test_eigenvalues_real_ascending_and_sum_to_trace(h):
 def test_kron_trace_property(avals, bvals):
     a = np.array(avals).reshape(2, 2).astype(complex)
     b = np.array(bvals).reshape(3, 3).astype(complex)
-    assert abs(trace(kron(a, b)) - trace(a) * trace(b)) < 1e-12
+    assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from jcentropy import (
     BlochParams,
-    BoltzmannRatio,
+    DimensionMismatch,
     InvalidParameter,
     MissingFactorization,
     NotHermitian,
@@ -209,20 +209,19 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(m, (2,))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            validate_density(np.zeros((2, 3), dtype=complex), (2,))
+
+    def test_rejects_non_finite(self):
+        bad = np.eye(2, dtype=complex) / 2
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            validate_density(bad, (2,))
+
     def test_dims_must_factor(self):
         with pytest.raises(MissingFactorization):
             validate_density(np.eye(4) / 4, (2, 3))
-
-
-class TestBoltzmannRatio:
-    def test_from_mean_photon_number(self):
-        assert BoltzmannRatio.from_mean_photon_number(0.1).ratio == pytest.approx(1 / 11)
-
-    def test_rejects_zero_temperature(self):
-        with pytest.raises(InvalidParameter):
-            BoltzmannRatio.from_mean_photon_number(0.0)
-        with pytest.raises(InvalidParameter):
-            BoltzmannRatio(1.0)
 
 
 def test_field_distribution_entropy_matches_closed_form():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from jcentropy import (
     InvalidParameter,
+    dynamics,
     SweepGrid,
     default_grid,
     exchange_region,
@@ -106,6 +108,31 @@ class TestRunSweep:
     def test_rejects_unknown_diagnostic(self):
         with pytest.raises(InvalidParameter):
             run_sweep(small_grid(), ("exchange", "sideways"), workers=1)
+
+    def test_excitation_drift_is_cell_error(self, monkeypatch):
+        # cell 0 is spot-checked; a drifting excitation number marks it only
+        real = dynamics.trajectory_data
+
+        def drifting(*args, **kwargs):
+            data = real(*args, **kwargs)
+            if not kwargs["full_verification"]:
+                return data
+            drift = data.n_expectation + np.linspace(0.0, 1e-9, len(data))
+            return dataclasses.replace(data, n_expectation=drift)
+
+        monkeypatch.setattr(dynamics, "trajectory_data", drifting)
+        cells = run_sweep(small_grid(), ("exchange",), workers=1)
+        assert cells[0].status == "error:ConservationViolation"
+        assert cells[0].p is None
+        assert all(c.status == "ok" for c in cells[1:])
+
+    def test_solver_failure_is_cell_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        cells = run_sweep(small_grid(), ("exchange",), workers=1)
+        assert {c.status for c in cells} == {"error:NoConvergence"}
 
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidParameter):
