@@ -1,7 +1,7 @@
 """Exact resonant Jaynes-Cummings simulation with mixed atom and field states.
 
 Builds truncated thermal-field and Bloch-ball atomic states, evolves them
-with the closed-form propagator, and reduces trajectories to entropy
+with the closed-form Rabi rotations, and reduces trajectories to entropy
 correlations (exchange parameter, mutual-entropy ratio) and entanglement
 diagnostics (partial-transpose negativity).
 """
@@ -11,7 +11,6 @@ from .dynamics import (
     diagonal_evolve,
     evolve,
     excitation_expectation,
-    propagator_stack,
     trajectory_data,
 )
 from .entanglement import (
@@ -40,6 +39,7 @@ from .errors import (
     AllStepsSkipped,
     ConservationViolation,
     DimensionMismatch,
+    InsufficientMemory,
     InvalidParameter,
     MissingFactorization,
     NoConvergence,

@@ -1,88 +1,124 @@
 """Exact resonant atom-cavity evolution.
 
 The interaction Hamiltonian sigma_+ a + sigma_- a^dag (coupling = 1, so time
-is dimensionless) only mixes the pairs |e,n> and |g,n+1>, which makes the
-propagator available in closed form: cosines on the diagonal and -i sin
-couplings between the pair members, with Rabi frequency sqrt(n+1).  States
-are evolved by building the propagator for each requested time directly from
-the initial state, so there is no step-composition error.
+is dimensionless) only mixes the pairs |e,n> and |g,n+1>, with Rabi frequency
+sqrt(n+1) (Phoenix & Knight, Ann. Phys. 186, 381 (1988)).  In the field phase
+gauge G = 1_atom (x) diag(i^n) the propagator is real orthogonal: the rotation
+[[c, -s], [s, c]], c, s = cos, sin(sqrt(n+1) t), on each pair.  The initial
+state is gauged once, sigma0 = G rho0 G^dag (entries times +-1 and +-i, so
+exact), and each requested time rotates the rows and columns of sigma0: no
+step composition, no dense propagator, and real arithmetic whenever sigma0 is
+real (a phi = 0 Bloch atom on a diagonal field).  G acts on the field alone,
+so every diagnostic (reduced spectra and purities, excitation number, joint
+and partial-transpose spectra) is read off the gauged state; only ``evolve``
+maps back.
 
 Basis order is atom-major: all excited-sector Fock levels, then all
-ground-sector levels.  On the truncated space the top excited level |e, n_f+1>
-has no partner above it and is left invariant, which keeps the propagator
-exactly unitary; its population is negligible whenever the truncation is
-chosen so the tail mass is at the 1e-15 level.
+ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
+truncated space and is left invariant, which keeps the evolution exactly
+unitary; its population is negligible when the tail mass is at 1e-15.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
 from .entropy import entropy_from_spectrum
-from .errors import InvalidParameter, NotHermitian, NotPositive, TraceNotOne
+from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .linalg import FloatArray, eigvalsh
-from .states import (
-    HERMITICITY_TOL,
-    PSD_FLOOR,
-    TRACE_TOL,
-    DensityMatrix,
-    FieldDistribution,
-    ladder,
-    validate_density,
-)
+from .states import (HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, DensityMatrix, FieldDistribution,
+                     ladder, validate_density)
 
-# Samples evolved per batched block; caps peak memory without changing results.
-CHUNK = 512
+# Bytes of one block of evolved samples.  The rotations are memory-bound, so a
+# block that stays in cache beats a longer batch; results do not depend on it.
+CHUNK_BYTES = 2 << 20
+# Peak working set of one trajectory, measured with tracemalloc plus a margin:
+# blocks of evolved samples and dense complex joint matrices.
+_BLOCKS_LIVE, _MATRICES_LIVE = 6, 8
 
 
-def propagator_stack(f_dim: int, t_grid) -> np.ndarray:
-    """Closed-form propagators for every grid time, shape (len(t_grid), 2F, 2F).
+def _field_phases(f_dim: int) -> np.ndarray:
+    """Diagonal of G = 1_atom (x) diag(i^n), taken from an exact table of powers of i."""
+    return np.tile(np.array([1, 1j, -1, -1j])[np.arange(f_dim) % 4], 2)
 
-    ``f_dim = n_f + 2`` is the field dimension.  Each propagator is exactly
-    unitary and U(0) = I.
+
+def _gauged(rho0: DensityMatrix) -> np.ndarray:
+    """G rho0 G^dag; real float64 when its imaginary part is exactly zero."""
+    _, d_f = rho0.require_joint()
+    if d_f < 3:
+        raise InvalidParameter(f"n_f={d_f - 2} must be >= 1")
+    g = _field_phases(d_f)
+    sigma = g[:, None] * rho0.mat * g.conj()
+    return sigma if sigma.imag.any() else sigma.real.copy()
+
+
+def _rotate_rows(x: np.ndarray, c: FloatArray, s: FloatArray, out: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Rotate the row pairs (i, F+1+i) of ``x`` by (c, s)[..., i] into ``out``, via ``tmp``.
+
+    The excited members of the pairs are the rows [:F-1] and the ground
+    members [F+1:]; rows F-1 (|e,F-1>) and F (|g,0>) are copied unchanged.
     """
-    if f_dim < 3:
-        raise InvalidParameter(f"n_f={f_dim - 2} must be >= 1")
-    t_grid = np.asarray(t_grid, dtype=float)
-    _, beta = ladder(f_dim)
-    phases = t_grid[:, None] * beta[None, 1:]  # pair frequencies sqrt(1)..sqrt(F-1)
-    c = np.cos(phases)
-    s = np.sin(phases)
-    u = np.zeros((len(t_grid), 2 * f_dim, 2 * f_dim), dtype=np.complex128)
-    e_idx = np.arange(f_dim - 1)          # excited levels 0..F-2
-    g_idx = np.arange(f_dim, 2 * f_dim)   # ground levels 0..F-1
-    u[:, e_idx, e_idx] = c
-    u[:, f_dim - 1, f_dim - 1] = 1.0      # top excited level: no partner, invariant
-    u[:, g_idx[0], g_idx[0]] = 1.0
-    u[:, g_idx[1:], g_idx[1:]] = c
-    u[:, e_idx, g_idx[1:]] = -1j * s
-    u[:, g_idx[1:], e_idx] = -1j * s
-    return u
+    f_dim = x.shape[-1] // 2
+    e, g, fixed = slice(0, f_dim - 1), slice(f_dim + 1, None), slice(f_dim - 1, f_dim + 1)
+    c, s, tmp = c[:, :, None], s[:, :, None], tmp[..., e, :]
+    np.multiply(s, x[..., g, :], out=tmp)
+    np.multiply(c, x[..., e, :], out=out[..., e, :])
+    out[..., e, :] -= tmp
+    np.multiply(c, x[..., g, :], out=tmp)
+    np.multiply(s, x[..., e, :], out=out[..., g, :])
+    out[..., g, :] += tmp
+    out[..., fixed, :] = x[..., fixed, :]
 
 
-_STACK_CACHE: dict[tuple[int, bytes], np.ndarray] = {}
+def _rotate(sigma0: np.ndarray, times: FloatArray, work: np.ndarray) -> np.ndarray:
+    """R(t) sigma0 R(t)^T for every time, returned in work[1]; work[0] and work[2] are scratch."""
+    _, beta = ladder(sigma0.shape[0] // 2)
+    phases = np.multiply.outer(times, beta[1:])  # pair frequencies sqrt(1)..sqrt(F-1)
+    c, s = np.cos(phases), np.sin(phases)
+    rows, out, tmp = work[:, : len(times)]
+    _rotate_rows(sigma0, c, s, rows, tmp)
+    _rotate_rows(rows.swapaxes(1, 2), c, s, out.swapaxes(1, 2), tmp)
+    return out
 
 
-def _cached_stack(f_dim: int, t_grid: FloatArray) -> np.ndarray:
-    key = (f_dim, t_grid.tobytes())
-    stack = _STACK_CACHE.get(key)
-    if stack is None:
-        stack = propagator_stack(f_dim, t_grid)
-        if len(_STACK_CACHE) >= 2:
-            _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
-        _STACK_CACHE[key] = stack
-    return stack
+def _chunk_samples(dim: int, dtype) -> int:
+    return max(1, CHUNK_BYTES // (dim * dim * np.dtype(dtype).itemsize))
+
+
+def peak_bytes(f_dim: int, dtype, workers: int = 1) -> int:
+    """Estimated peak array memory of ``workers`` concurrent trajectories.
+
+    ``dtype`` is that of the gauged state: float64 for a phi = 0 atom on a
+    diagonal field, complex128 otherwise.
+    """
+    dim = 2 * f_dim
+    block = _chunk_samples(dim, dtype) * dim * dim * np.dtype(dtype).itemsize
+    return workers * (_BLOCKS_LIVE * block + _MATRICES_LIVE * dim * dim * 16)
+
+
+def machine_bytes() -> int:
+    """Physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(f_dim: int, dtype, workers: int = 1) -> None:
+    """Raise :class:`InsufficientMemory` before a run that would not fit in memory."""
+    need, have = peak_bytes(f_dim, dtype, workers), machine_bytes()
+    if need > have:
+        raise InsufficientMemory(need, have)
 
 
 def evolve(rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Conjugate the joint state by the propagator and revalidate the result."""
-    _, d_f = rho0.require_joint()
-    u = propagator_stack(d_f, [t])[0]
-    out = u @ rho0.mat @ u.conj().T
-    return validate_density(out, rho0.dims)
+    """Rotate the gauged state to time ``t``, undo the gauge and revalidate."""
+    sigma0 = _gauged(rho0)
+    sigma = _rotate(sigma0, np.array([float(t)]), np.empty((3, 1, *sigma0.shape), sigma0.dtype))[0]
+    g = _field_phases(rho0.dims[1])
+    return validate_density(g.conj()[:, None] * sigma * g, rho0.dims)
 
 
 def diagonal_evolve(
@@ -115,16 +151,9 @@ def diagonal_evolve(
     return (float(excited), float(ground)), field_pops
 
 
-_EXCITATION_CACHE: dict[int, FloatArray] = {}
-
-
 def _excitation_weights(f_dim: int) -> FloatArray:
-    w = _EXCITATION_CACHE.get(f_dim)
-    if w is None:
-        n = np.arange(f_dim, dtype=float)
-        w = np.concatenate([n + 1.0, n])  # |e,n> carries n+1 quanta, |g,n> carries n
-        _EXCITATION_CACHE[f_dim] = w
-    return w
+    n = np.arange(f_dim, dtype=float)
+    return np.concatenate([n + 1.0, n])  # |e,n> carries n+1 quanta, |g,n> carries n
 
 
 def excitation_expectation(rho: DensityMatrix) -> float:
@@ -177,36 +206,29 @@ def trajectory_data(
 ) -> TrajectoryData:
     """Evolve ``rho0`` over the grid and collect all per-sample diagnostics.
 
-    Each sample is produced from the initial state with a fresh closed-form
-    propagator.  Every evolved matrix is checked for Hermiticity and unit
-    trace; with ``full_verification`` its spectrum is also recomputed, which
-    verifies positivity and yields the joint entropy per sample.  Without it
-    the joint spectrum of the initial state is reused (exact under unitary
-    evolution, at a fraction of the cost); callers doing this rely on the
-    spot-checked unitarity of the propagator.
+    Each sample is rotated directly from the gauged initial state.  Every
+    evolved matrix is checked for Hermiticity and unit trace; with
+    ``full_verification`` its spectrum is also recomputed, which verifies
+    positivity and yields the joint entropy per sample.  Without it the joint
+    spectrum of the initial state is reused (exact under unitary evolution,
+    at a fraction of the cost); callers doing this rely on spot-checked
+    samples for positivity.
     """
     grid = _validate_grid(t_grid)
     d_a, d_f = rho0.require_joint()
-    n_t = grid.size
-
-    s_atom = np.empty(n_t)
-    s_field = np.empty(n_t)
-    s_joint = np.empty(n_t)
-    purity_atom = np.empty(n_t)
-    purity_field = np.empty(n_t)
-    n_expect = np.empty(n_t)
-    reports = []
-
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
-    u_all = _cached_stack(d_f, grid)
+    sigma0 = _gauged(rho0)
+    chunk = _chunk_samples(sigma0.shape[0], sigma0.dtype)
+    work = np.empty((3, min(chunk, grid.size)) + sigma0.shape, sigma0.dtype)
+    parts = []
 
-    for start in range(0, n_t, CHUNK):
-        sl = slice(start, min(start + CHUNK, n_t))
-        u = u_all[sl]
-        rho_t = u @ rho0.mat @ u.conj().transpose(0, 2, 1)
+    for start in range(0, grid.size, chunk):
+        times = grid[start : start + chunk]
+        rho_t = _rotate(sigma0, times, work)
 
-        herm = np.abs(rho_t - rho_t.conj().transpose(0, 2, 1)).max()
+        resid = np.conjugate(rho_t.transpose(0, 2, 1), out=work[0, : times.size])
+        herm = np.abs(np.subtract(rho_t, resid, out=resid)).max()
         if herm > HERMITICITY_TOL:
             raise NotHermitian(float(herm), HERMITICITY_TOL)
         traces = np.einsum("tii->t", rho_t)
@@ -219,9 +241,9 @@ def trajectory_data(
             low = float(w_joint[:, 0].min())
             if low < PSD_FLOOR:
                 raise NotPositive(low, PSD_FLOOR)
-            s_joint[sl] = entropy_from_spectrum(w_joint)
+            s_joint = entropy_from_spectrum(w_joint)
         else:
-            s_joint[sl] = s_joint_initial
+            s_joint = np.full(times.size, s_joint_initial)
 
         blocks = rho_t.reshape(-1, d_a, d_f, d_a, d_f)
         r_atom = np.einsum("tifjf->tij", blocks)
@@ -234,28 +256,17 @@ def trajectory_data(
         half_gap = np.sqrt(0.25 * (a - b) ** 2 + off**2)
         mean = 0.5 * (a + b)
         w_atom = np.stack([mean - half_gap, mean + half_gap], axis=1)
-        s_atom[sl] = entropy_from_spectrum(w_atom)
-        purity_atom[sl] = a * a + b * b + 2.0 * off * off
-
-        w_field = eigvalsh(r_field)
-        s_field[sl] = entropy_from_spectrum(w_field)
-        purity_field[sl] = (np.abs(r_field) ** 2).sum(axis=(1, 2))
-        n_expect[sl] = np.einsum("tii,i->t", rho_t, weights).real
-
+        part = {
+            "s_atom": entropy_from_spectrum(w_atom),
+            "s_field": entropy_from_spectrum(eigvalsh(r_field)),
+            "s_joint": s_joint,
+            "purity_atom": a * a + b * b + 2.0 * off * off,
+            "purity_field": (np.abs(r_field) ** 2).sum(axis=(1, 2)),
+            "n_expectation": np.einsum("tii,i->t", rho_t, weights).real,
+        }
         if ppt:
-            reports.append(ppt_report(rho_t, (d_a, d_f), artifact_threshold))
+            report = ppt_report(rho_t, (d_a, d_f), artifact_threshold)
+            part.update((f.name, getattr(report, f.name)) for f in fields(PptReport))
+        parts.append(part)
 
-    ppt_columns = {
-        f.name: np.concatenate([getattr(r, f.name) for r in reports])
-        for f in fields(PptReport)
-    } if ppt else {}
-    return TrajectoryData(
-        t=grid,
-        s_atom=s_atom,
-        s_field=s_field,
-        s_joint=s_joint,
-        purity_atom=purity_atom,
-        purity_field=purity_field,
-        n_expectation=n_expect,
-        **ppt_columns,
-    )
+    return TrajectoryData(t=grid, **{k: np.concatenate([p[k] for p in parts]) for k in parts[0]})

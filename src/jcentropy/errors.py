@@ -64,3 +64,12 @@ class NoConvergence(RuntimeError):
 
 class AllStepsSkipped(RuntimeError):
     """Every step of a time series fell below the noise threshold."""
+
+
+class InsufficientMemory(InvalidParameter):
+    """A run's estimated peak memory exceeds the machine's memory."""
+
+    def __init__(self, need: int, have: int):
+        self.need, self.have = need, have
+        super().__init__(f"estimated peak memory {need / 2**30:.2f} GiB exceeds the "
+                         f"machine's {have / 2**30:.2f} GiB; lower n_bar, n_f or workers")

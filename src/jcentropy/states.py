@@ -154,6 +154,20 @@ def validate_density(
     return DensityMatrix(m, tuple(int(d) for d in dims), w)
 
 
+def _planck_prefix(n_bar: float, length: int) -> FloatArray:
+    """Planck weights of Fock levels 0..length-1, each the previous one times the ratio."""
+    ratio = n_bar / (n_bar + 1.0)
+    return np.multiply.accumulate(np.r_[1.0 / (n_bar + 1.0), np.full(length - 1, ratio)])
+
+
+def _lumped(prefix: FloatArray, n_f: int) -> FloatArray:
+    """Levels 0..n_f of the prefix plus the lump holding the residual mass."""
+    probs = np.empty(n_f + 2)
+    probs[: n_f + 1] = prefix[: n_f + 1]
+    probs[n_f + 1] = max(0.0, 1.0 - probs[: n_f + 1].sum())
+    return probs
+
+
 def thermal_field(n_bar: float, n_f: int) -> FieldDistribution:
     """Planck distribution for one cavity mode, truncated at Fock level ``n_f``.
 
@@ -165,20 +179,15 @@ def thermal_field(n_bar: float, n_f: int) -> FieldDistribution:
     if n_f < 0:
         raise InvalidParameter(f"n_f={n_f} must be >= 0")
     n_f = int(n_f)
-    probs = np.zeros(n_f + 2)
-    probs[0] = 1.0 / (n_bar + 1.0)
-    ratio = n_bar / (n_bar + 1.0)
-    for n in range(n_f):
-        probs[n + 1] = probs[n] * ratio
-    probs[n_f + 1] = max(0.0, 1.0 - probs[: n_f + 1].sum())
-    return FieldDistribution(float(n_bar), n_f, probs)
+    return FieldDistribution(float(n_bar), n_f, _lumped(_planck_prefix(n_bar, n_f + 1), n_f))
 
 
 def auto_truncate(n_bar: float, tol: float = 1e-14) -> int:
     """Smallest ``n_f`` whose field entropy is converged to within ``tol``.
 
     Scans upward until adding one more retained Fock level changes the
-    distribution's von Neumann entropy by less than ``tol``.
+    distribution's von Neumann entropy by less than ``tol``.  The Planck
+    weights are built once, doubling their length when the scan needs more.
     """
     if n_bar < 0:
         raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
@@ -186,10 +195,13 @@ def auto_truncate(n_bar: float, tol: float = 1e-14) -> int:
         raise InvalidParameter(f"tol={tol} must be positive")
     from .entropy import entropy_from_spectrum  # deferred: entropy imports this module
 
+    prefix = _planck_prefix(n_bar, 64)
     n_f = 1
-    s_prev = entropy_from_spectrum(thermal_field(n_bar, n_f).probs)
+    s_prev = entropy_from_spectrum(_lumped(prefix, n_f))
     while True:
-        s_next = entropy_from_spectrum(thermal_field(n_bar, n_f + 1).probs)
+        if n_f + 2 >= len(prefix):
+            prefix = _planck_prefix(n_bar, 2 * len(prefix))
+        s_next = entropy_from_spectrum(_lumped(prefix, n_f + 1))
         if abs(s_next - s_prev) < tol:
             return n_f
         n_f += 1

@@ -232,6 +232,8 @@ def run_sweep(
         workers = os.cpu_count() or 1
     if workers < 1:
         raise InvalidParameter(f"workers={workers} must be >= 1")
+    # cells are phi = 0 atoms on a diagonal field, so every trajectory runs real
+    dynamics.require_memory(grid.n_f + 2, float, min(workers, grid.n_cells))
 
     indices = range(grid.n_cells)
     if workers == 1 or grid.n_cells == 1:

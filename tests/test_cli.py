@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from jcentropy import cli
+from jcentropy import cli, dynamics
 
 
 def run(argv):
@@ -87,10 +87,22 @@ class TestEvolveCommand:
         assert "wall_time_s" in meta
         # the echo holds exactly the settings evolve takes
         assert set(meta["config"]) == {
-            "n_bar", "n_f", "atom", "t_max", "dt", "eps", "artifact_threshold",
-            "workers", "out",
+            "n_bar", "n_f", "atom", "t_max", "dt", "artifact_threshold", "out",
         }
         assert meta["config"]["atom"] == "excited"
+        assert meta["workers"] == 1
+
+    @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
+    def test_rejects_sweep_only_options(self, key, value, tmp_path, capsys):
+        # evolve has no entropy-change threshold and runs in one process
+        out = str(tmp_path / "x.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(["evolve", f"--{key}", value, "--out", out])
+        assert exc.value.code == 2
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        assert run(["evolve", "--config", str(config), "--out", out]) == 2
+        assert f"unknown key {key!r} for evolve" in capsys.readouterr().err
 
     def test_solver_failure_exits_numerical(self, tmp_path, monkeypatch):
         def fail(_):
@@ -108,6 +120,17 @@ class TestEvolveCommand:
         out = tmp_path / "x.csv"
         assert run(["evolve", "--atom", "r=2.0,theta=0", "--out", str(out)]) == 2
         assert run(["evolve", "--atom", "r=0.5,tilt=1", "--out", str(out)]) == 2
+
+
+def test_memory_preflight_exits_config(tmp_path, monkeypatch, capsys):
+    # refused before any state is built; no output is written
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: 2**20)
+    for command in ("evolve", "sweep"):
+        out = tmp_path / f"{command}.csv"
+        assert run([command, "--n-f", "4", "--t-max", "0.2", "--dt", "0.1",
+                    "--out", str(out)]) == 2
+        assert "estimated peak memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -208,16 +231,20 @@ def test_non_finite_value_names_field(key, tmp_path, capsys):
     base = {"n-bar": "0.1", "n-f": "4", "t-max": "0.2", "dt": "0.1",
             "eps": "1e-9", "artifact-threshold": "1e-12"}
     out = str(tmp_path / "x.csv")
-    for text in ("nan", "inf", "-inf"):
-        values = {**base, key: text}
-        flags = [f"--{k}={v}" for k, v in values.items()]
-        assert run(["evolve", *flags, "--out", out]) == 2
-        assert f"{key}:" in capsys.readouterr().err
-        config = tmp_path / "run.cfg"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert run(["sweep", "--config", str(config), "--grid", "1x1",
-                    "--out", out]) == 2
-        assert f"{key}:" in capsys.readouterr().err
+    # each subcommand gets only the options it takes; a 1x1 grid keeps a sweep small
+    for command, extra in (("evolve", []), ("sweep", ["--grid", "1x1"])):
+        taken = {k for k, _, _, commands, _ in cli.OPTIONS if command in commands}
+        if key not in taken:
+            continue
+        for text in ("nan", "inf", "-inf"):
+            values = {k: v for k, v in {**base, key: text}.items() if k in taken}
+            flags = [f"--{k}={v}" for k, v in values.items()]
+            assert run([command, *flags, *extra, "--out", out]) == 2
+            assert f"{key}:" in capsys.readouterr().err
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            assert run([command, "--config", str(config), *extra, "--out", out]) == 2
+            assert f"{key}:" in capsys.readouterr().err
 
 
 class TestSelfcheck:

@@ -1,21 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_density, random_pure_product
+from dense_oracle import propagator_stack
 from jcentropy import (
     BlochParams,
+    InsufficientMemory,
     InvalidParameter,
     NoConvergence,
     bloch_qubit,
     diagonal_evolve,
+    dynamics,
     evolve,
     excitation_expectation,
     ladder,
     partial_trace,
     ppt_report,
     product_state,
-    propagator_stack,
     thermal_field,
     trajectory_data,
     validate_density,
@@ -52,8 +56,11 @@ class TestPropagator:
         assert abs(u[g1, e0] + 1j) < 1e-15
 
     def test_rejects_tiny_space(self):
+        joint = product_state(bloch_qubit(BlochParams(1.0, np.pi / 2)), thermal_field(0.1, 0))
         with pytest.raises(InvalidParameter):
-            propagator_stack(2, [1.0])  # n_f = 0
+            evolve(joint, 1.0)  # n_f = 0
+        with pytest.raises(InvalidParameter):
+            trajectory_data(joint, [0.0, 1.0])
 
     def test_block_frequencies(self):
         # diagonal entries carry cos(t sqrt(n+1)) and cos(t sqrt(n))
@@ -266,3 +273,33 @@ class TestTrajectory:
             trajectory_data(ground_joint, np.array([0.0, 1.0, 0.5]))
         with pytest.raises(InvalidParameter):
             trajectory_data(ground_joint, np.array([]))
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    def test_estimate_bounds_measured_peak(self, field01, phi):
+        # tracemalloc sees numpy's buffers; 1200 samples span several blocks
+        atom = bloch_qubit(BlochParams(0.7, 0.4, phi))
+        tracemalloc.start()
+        try:
+            joint = product_state(atom, field01)
+            trajectory_data(joint, np.arange(0.0, 12.0, 0.01), ppt=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dtype = dynamics._gauged(joint).dtype
+        assert dtype == (np.complex128 if phi else np.float64)
+        assert peak <= dynamics.peak_bytes(field01.dim, dtype)
+
+    def test_scales_with_workers_and_dtype(self):
+        assert dynamics.peak_bytes(15, float, 2) == 2 * dynamics.peak_bytes(15, float)
+        # past one sample per block, a complex block is twice a real one
+        assert dynamics.peak_bytes(400, complex) > dynamics.peak_bytes(400, float)
+
+    def test_refuses_beyond_machine_memory(self, monkeypatch):
+        need = dynamics.peak_bytes(15, float, 2)
+        monkeypatch.setattr(dynamics, "machine_bytes", lambda: need - 1)
+        with pytest.raises(InsufficientMemory) as exc:
+            dynamics.require_memory(15, float, 2)
+        assert exc.value.need == need
+        dynamics.require_memory(15, float, 1)

@@ -1,0 +1,92 @@
+"""Property tests of the evolution engine over random thermal fields, Bloch atoms and times."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_density
+from dense_oracle import dense_trajectory
+from jcentropy import (
+    BlochParams,
+    TrajectoryData,
+    auto_truncate,
+    bloch_qubit,
+    dynamics,
+    evolve,
+    partial_transpose,
+    product_state,
+    thermal_field,
+    trajectory_data,
+)
+
+n_bars = st.floats(min_value=0.0, max_value=2.0)
+radii = st.floats(min_value=1e-3, max_value=1.0)
+thetas = st.floats(min_value=-np.pi / 2, max_value=np.pi / 2)
+phis = st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True)
+times = st.lists(st.floats(min_value=1e-3, max_value=40.0), min_size=1, max_size=4, unique=True)
+
+
+def joint_state(n_bar, r, theta, phi):
+    field = thermal_field(n_bar, auto_truncate(n_bar))
+    return product_state(bloch_qubit(BlochParams(r, theta, phi)), field)
+
+
+def grid_of(ts):
+    return np.concatenate([[0.0], np.sort(ts)])
+
+
+def assert_matches_oracle(joint, grid):
+    engine = trajectory_data(joint, grid, ppt=True)
+    oracle = dense_trajectory(joint, grid)
+    for name in TrajectoryData.__dataclass_fields__:
+        got, want = getattr(engine, name), getattr(oracle, name)
+        assert np.abs(got - want).max() <= 1e-12, name
+    assert np.array_equal(engine.n_significant, oracle.n_significant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bars, radii, thetas, times)
+def test_real_path_matches_dense_oracle(n_bar, r, theta, ts):
+    joint = joint_state(n_bar, r, theta, 0.0)
+    assert dynamics._gauged(joint).dtype == np.float64
+    assert_matches_oracle(joint, grid_of(ts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bars, radii, thetas, phis, times)
+def test_complex_path_matches_dense_oracle(n_bar, r, theta, phi, ts):
+    joint = joint_state(n_bar, r, theta, phi)
+    # the field is diagonal, so the gauged state is complex exactly when the atom is
+    expected = np.complex128 if joint.mat[0, joint.dims[1]].imag else np.float64
+    assert dynamics._gauged(joint).dtype == expected
+    assert_matches_oracle(joint, grid_of(ts))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 12), times)
+def test_entangled_complex_state_matches_dense_oracle(seed, f_dim, ts):
+    joint = random_density(np.random.default_rng(seed), 2 * f_dim, (2, f_dim))
+    assert dynamics._gauged(joint).dtype == np.complex128
+    assert_matches_oracle(joint, grid_of(ts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bars, radii, thetas, phis, times)
+def test_araki_lieb(n_bar, r, theta, phi, ts):
+    # |S_a - S_f| <= S_af <= S_a + S_f, with S_af from each sample's own spectrum
+    data = trajectory_data(joint_state(n_bar, r, theta, phi), grid_of(ts))
+    assert np.all(np.abs(data.s_atom - data.s_field) <= data.s_joint + 1e-10)
+    assert np.all(data.s_joint <= data.s_atom + data.s_field + 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bars, radii, thetas, phis, times)
+def test_partial_transpose_spectrum(n_bar, r, theta, phi, ts):
+    # unit trace, and at most N - 1 negative eigenvalues for a 2 x N state
+    # (Rana, PRA 87, 054301 (2013))
+    joint = joint_state(n_bar, r, theta, phi)
+    for t in ts:
+        rho = evolve(joint, t)
+        w = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims))
+        assert abs(w.sum() - 1.0) <= 1e-10
+        assert np.count_nonzero(w < 0.0) <= rho.dims[1] - 1

@@ -86,6 +86,23 @@ class TestAutoTruncate:
         assert auto_truncate(0.1, 1e-14) == oracle(0.1, 1e-14)
         assert auto_truncate(0.5, 1e-12) == oracle(0.5, 1e-12)
 
+    @pytest.mark.parametrize(
+        "n_bar,n_f", [(0.0, 1), (0.1, 13), (1.0, 46), (3.0, 112), (10.0, 338), (100.0, 3070)]
+    )
+    def test_bit_identical_to_sequential_loop(self, n_bar, n_f):
+        # the one-pass prefix scan keeps the cutoffs and bytes of the per-level loop
+        def loop_probs(k):
+            probs = np.zeros(k + 2)
+            probs[0] = 1.0 / (n_bar + 1.0)
+            for n in range(k):
+                probs[n + 1] = probs[n] * (n_bar / (n_bar + 1.0))
+            probs[k + 1] = max(0.0, 1.0 - probs[: k + 1].sum())
+            return probs
+
+        assert auto_truncate(n_bar, 1e-14) == n_f
+        for k in (0, 1, 13, 63, 64, 65, n_f):
+            assert thermal_field(n_bar, k).probs.tobytes() == loop_probs(k).tobytes()
+
     def test_monotone_in_mean_photon_number(self):
         assert auto_truncate(10.0, 1e-14) > auto_truncate(0.1, 1e-14)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jcentropy import (
+    InsufficientMemory,
     InvalidParameter,
     dynamics,
     SweepGrid,
@@ -62,6 +63,15 @@ class TestRunSweep:
         one = run_sweep(grid, ("exchange", "mutual", "ppt"), workers=1)
         two = run_sweep(grid, ("exchange", "mutual", "ppt"), workers=2)
         assert one == two
+
+    def test_memory_preflight_counts_workers(self, monkeypatch):
+        # room for one trajectory but not two: the pool is refused, one worker runs
+        grid = small_grid(r_values=np.array([0.9]), t_grid=np.arange(0.0, 1.0, 0.1))
+        one = dynamics.peak_bytes(grid.n_f + 2, float)
+        monkeypatch.setattr(dynamics, "machine_bytes", lambda: one + one // 2)
+        with pytest.raises(InsufficientMemory):
+            run_sweep(grid, ("exchange",), workers=2)
+        assert len(run_sweep(grid, ("exchange",), workers=1)) == 3
 
     def test_fixed_point_cell_skipped(self):
         params = fixed_point(0.1)
