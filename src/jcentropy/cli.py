@@ -214,7 +214,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
-                   tail_mass: float, start: float, workers: int) -> None:
+                   tail_mass: float, start: float, workers: int, arithmetic: str) -> None:
     """The CSV, then the sidecar holding what can vary between runs."""
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -229,6 +229,7 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "wall_time_s": time.monotonic() - start,
         "workers": workers,
         "rows": len(lines) - 1,
+        "arithmetic": arithmetic,
     }
     with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -240,8 +241,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
     atom = bloch_qubit(_parse_atom(cfg.atom))
-    # the field is diagonal, so the gauged joint state is real exactly when the atom is
-    dynamics.require_memory(field.dim, complex if atom.mat.imag.any() else float)
+    # every Bloch atom on a diagonal field evolves in real arithmetic
+    dynamics.require_memory(field.dim, float)
     joint = product_state(atom, field)
     data = dynamics.trajectory_data(joint, cfg.time_grid(), ppt=True,
                                     artifact_threshold=cfg.artifact_threshold)
@@ -253,7 +254,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
         ",".join([*(_fmt(col[k]) for col in columns), str(int(data.n_significant[k]))])
         for k in range(len(data))
     ]
-    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1)
+    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1,
+                   dynamics.arithmetic(joint))
     return EXIT_OK
 
 
@@ -270,7 +272,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                   str(c.n_significant_negatives), c.status])
         for c in cells
     ]
-    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers)
+    # every cell is a phi = 0 atom on this field, so the first one stands for all
+    first = product_state(bloch_qubit(BlochParams(grid.r_values[0], grid.theta_values[0])), field)
+    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers,
+                   dynamics.arithmetic(first))
     return EXIT_OK
 
 

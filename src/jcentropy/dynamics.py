@@ -6,12 +6,14 @@ sqrt(n+1) (Phoenix & Knight, Ann. Phys. 186, 381 (1988)).  In the field phase
 gauge G = 1_atom (x) diag(i^n) the propagator is real orthogonal: the rotation
 [[c, -s], [s, c]], c, s = cos, sin(sqrt(n+1) t), on each pair.  The initial
 state is gauged once, sigma0 = G rho0 G^dag (entries times +-1 and +-i, so
-exact), and each requested time rotates the rows and columns of sigma0: no
-step composition, no dense propagator, and real arithmetic whenever sigma0 is
-real (a phi = 0 Bloch atom on a diagonal field).  G acts on the field alone,
-so every diagnostic (reduced spectra and purities, excitation number, joint
-and partial-transpose spectra) is read off the gauged state; only ``evolve``
-maps back.
+exact), and each entry is turned by omega^(N_i - N_j), N the excitation
+number, which commutes with the rotations; on a diagonal field that is the
+local unitary exp(-i phi N), so every Bloch atom evolves in real arithmetic.
+Each requested time rotates the 2x2 pair blocks of sigma0 that hold a nonzero
+(3F of F^2 for a product state): no step composition, no dense propagator.
+Both factors are local, so every diagnostic (reduced spectra and purities,
+excitation number, joint and partial-transpose spectra) is read off the
+gauged state; only ``evolve`` maps back.
 
 Basis order is atom-major: all excited-sector Fock levels, then all
 ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
@@ -30,14 +32,14 @@ from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
 from .entropy import entropy_from_spectrum
 from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .linalg import FloatArray, eigvalsh
-from .states import (HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, DensityMatrix, FieldDistribution,
-                     ladder, validate_density)
+from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
+                     FieldDistribution, ladder, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
 CHUNK_BYTES = 2 << 20
-# Peak working set of one trajectory, measured with tracemalloc plus a margin:
-# blocks of evolved samples and dense complex joint matrices.
+# Peak working set of one trajectory with a margin, in blocks of evolved samples and
+# dense complex joint matrices; tracemalloc measured up to 3.4 blocks real, 5.8 complex.
 _BLOCKS_LIVE, _MATRICES_LIVE = 6, 8
 
 
@@ -46,43 +48,56 @@ def _field_phases(f_dim: int) -> np.ndarray:
     return np.tile(np.array([1, 1j, -1, -1j])[np.arange(f_dim) % 4], 2)
 
 
-def _gauged(rho0: DensityMatrix) -> np.ndarray:
-    """G rho0 G^dag; real float64 when its imaginary part is exactly zero."""
+def _phi_factors(f_dim: int, omega: complex) -> np.ndarray:
+    """omega^(N_i - N_j) for every entry, from a table of powers indexed by the gap."""
+    powers = np.multiply.accumulate(np.full(f_dim, omega))
+    table = np.concatenate([powers[::-1].conj(), [1.0], powers])
+    quanta = _excitation_weights(f_dim).astype(int)
+    return table[np.subtract.outer(quanta, quanta) + f_dim]
+
+
+def _gauged(rho0: DensityMatrix) -> tuple[np.ndarray, complex]:
+    """(G rho0 G^dag times omega^(N_i - N_j), omega); real where only rounding is imaginary."""
     _, d_f = rho0.require_joint()
     if d_f < 3:
         raise InvalidParameter(f"n_f={d_f - 2} must be >= 1")
     g = _field_phases(d_f)
     sigma = g[:, None] * rho0.mat * g.conj()
-    return sigma if sigma.imag.any() else sigma.real.copy()
+    quanta = _excitation_weights(d_f)
+    one_apart = sigma[np.subtract.outer(quanta, quanta) == 1]
+    ref = one_apart[np.argmax(np.abs(one_apart))]
+    omega = complex(ref.real / abs(ref), -ref.imag / abs(ref)) if ref else 1.0
+    turned = sigma if omega == 1.0 else sigma * _phi_factors(d_f, omega)
+    if np.all(np.abs(turned.imag) <= REAL_GAUGE_ROUNDING * np.abs(turned) + np.finfo(float).tiny):
+        return turned.real.copy(), omega
+    return sigma, 1.0
 
 
-def _rotate_rows(x: np.ndarray, c: FloatArray, s: FloatArray, out: np.ndarray,
-                 tmp: np.ndarray) -> None:
-    """Rotate the row pairs (i, F+1+i) of ``x`` by (c, s)[..., i] into ``out``, via ``tmp``.
-
-    The excited members of the pairs are the rows [:F-1] and the ground
-    members [F+1:]; rows F-1 (|e,F-1>) and F (|g,0>) are copied unchanged.
-    """
-    f_dim = x.shape[-1] // 2
-    e, g, fixed = slice(0, f_dim - 1), slice(f_dim + 1, None), slice(f_dim - 1, f_dim + 1)
-    c, s, tmp = c[:, :, None], s[:, :, None], tmp[..., e, :]
-    np.multiply(s, x[..., g, :], out=tmp)
-    np.multiply(c, x[..., e, :], out=out[..., e, :])
-    out[..., e, :] -= tmp
-    np.multiply(c, x[..., g, :], out=tmp)
-    np.multiply(s, x[..., e, :], out=out[..., g, :])
-    out[..., g, :] += tmp
-    out[..., fixed, :] = x[..., fixed, :]
+def arithmetic(rho0: DensityMatrix) -> str:
+    """"real" or "complex": the number type ``rho0`` is evolved in."""
+    return "real" if _gauged(rho0)[0].dtype == np.float64 else "complex"
 
 
-def _rotate(sigma0: np.ndarray, times: FloatArray, work: np.ndarray) -> np.ndarray:
-    """R(t) sigma0 R(t)^T for every time, returned in work[1]; work[0] and work[2] are scratch."""
-    _, beta = ladder(sigma0.shape[0] // 2)
-    phases = np.multiply.outer(times, beta[1:])  # pair frequencies sqrt(1)..sqrt(F-1)
+def _pair_blocks(sigma0: np.ndarray):
+    """The 2x2 blocks of ``sigma0`` holding a nonzero, over the pairs (|e,k>, |g,k+1>), k < F-1,
+    and (|e,F-1>, |g,0>), which never rotates; with the basis indices of each block."""
+    f_dim = sigma0.shape[0] // 2
+    pairs = np.stack([np.arange(f_dim), np.r_[f_dim + 1 : 2 * f_dim, f_dim]], axis=1)
+    x = sigma0[pairs[:, :, None, None], pairs]
+    k, l = np.nonzero(x.any(axis=(1, 3)))
+    return k, l, x[k, :, l], pairs[k][:, :, None], pairs[l][:, None, :]
+
+
+def _rotate(blocks, times: FloatArray, out: np.ndarray) -> np.ndarray:
+    """R(t) sigma0 R(t)^T into ``out``, one sample per time: R_k X_kl R_l^T per occupied block."""
+    k, l, x, rows, cols = blocks
+    alpha, _ = ladder(out.shape[-1] // 2)  # pair frequencies sqrt(1)..sqrt(F-1), then 0
+    phases = np.multiply.outer(times, alpha)
     c, s = np.cos(phases), np.sin(phases)
-    rows, out, tmp = work[:, : len(times)]
-    _rotate_rows(sigma0, c, s, rows, tmp)
-    _rotate_rows(rows.swapaxes(1, 2), c, s, out.swapaxes(1, 2), tmp)
+    ck, sk, cl, sl = (a[:, :, None] for a in (c[:, k], s[:, k], c[:, l], s[:, l]))
+    r = np.stack([ck * x[:, 0] - sk * x[:, 1], sk * x[:, 0] + ck * x[:, 1]], axis=2)
+    re, rg = r[..., 0], r[..., 1]
+    out[:, rows, cols] = np.stack([cl * re - sl * rg, sl * re + cl * rg], axis=3)
     return out
 
 
@@ -93,8 +108,8 @@ def _chunk_samples(dim: int, dtype) -> int:
 def peak_bytes(f_dim: int, dtype, workers: int = 1) -> int:
     """Estimated peak array memory of ``workers`` concurrent trajectories.
 
-    ``dtype`` is that of the gauged state: float64 for a phi = 0 atom on a
-    diagonal field, complex128 otherwise.
+    ``dtype`` is that of the gauged state: float64 for any Bloch atom on a
+    diagonal field, complex128 for most entangled states.
     """
     dim = 2 * f_dim
     block = _chunk_samples(dim, dtype) * dim * dim * np.dtype(dtype).itemsize
@@ -115,8 +130,9 @@ def require_memory(f_dim: int, dtype, workers: int = 1) -> None:
 
 def evolve(rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Rotate the gauged state to time ``t``, undo the gauge and revalidate."""
-    sigma0 = _gauged(rho0)
-    sigma = _rotate(sigma0, np.array([float(t)]), np.empty((3, 1, *sigma0.shape), sigma0.dtype))[0]
+    sigma0, omega = _gauged(rho0)
+    sigma = _rotate(_pair_blocks(sigma0), np.array([float(t)]), np.zeros_like(sigma0)[None])[0]
+    sigma = sigma * _phi_factors(rho0.dims[1], omega).conj()
     g = _field_phases(rho0.dims[1])
     return validate_density(g.conj()[:, None] * sigma * g, rho0.dims)
 
@@ -218,16 +234,17 @@ def trajectory_data(
     d_a, d_f = rho0.require_joint()
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
-    sigma0 = _gauged(rho0)
+    sigma0, _ = _gauged(rho0)
+    occupied = _pair_blocks(sigma0)
     chunk = _chunk_samples(sigma0.shape[0], sigma0.dtype)
-    work = np.empty((3, min(chunk, grid.size)) + sigma0.shape, sigma0.dtype)
+    work = np.zeros((2, min(chunk, grid.size)) + sigma0.shape, sigma0.dtype)
     parts = []
 
     for start in range(0, grid.size, chunk):
         times = grid[start : start + chunk]
-        rho_t = _rotate(sigma0, times, work)
+        rho_t = _rotate(occupied, times, work[0, : times.size])
 
-        resid = np.conjugate(rho_t.transpose(0, 2, 1), out=work[0, : times.size])
+        resid = np.conjugate(rho_t.transpose(0, 2, 1), out=work[1, : times.size])
         herm = np.abs(np.subtract(rho_t, resid, out=resid)).max()
         if herm > HERMITICITY_TOL:
             raise NotHermitian(float(herm), HERMITICITY_TOL)

@@ -35,6 +35,9 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # Eigensolver noise floor at these dimensions; eigenvalues above it count as >= 0.
 PSD_FLOOR = -1e-10
+# Largest |Im z| / |z| taken as rounding when one complex multiply turns z real: about
+# 2 eps from rounding the product and its inputs, doubled; subnormal z lose more.
+REAL_GAUGE_ROUNDING = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,7 @@ class TestEvolveCommand:
         }
         assert meta["config"]["atom"] == "excited"
         assert meta["workers"] == 1
+        assert meta["arithmetic"] == "real"
 
     @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
     def test_rejects_sweep_only_options(self, key, value, tmp_path, capsys):
@@ -131,6 +132,18 @@ def test_memory_preflight_exits_config(tmp_path, monkeypatch, capsys):
                     "--out", str(out)]) == 2
         assert "estimated peak memory" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_memory_preflight_sizes_phi_atom_real(tmp_path, monkeypatch):
+    # past D = 362 a complex block outgrows a real one; a phi atom evolves real
+    real, cplx = dynamics.peak_bytes(182, float), dynamics.peak_bytes(182, complex)
+    assert real < cplx
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: real)
+    out = tmp_path / "phi.csv"
+    assert run(["evolve", "--n-f", "180", "--t-max", "0.01", "--dt", "0.01",
+                "--atom", "r=0.7,theta=0.4,phi=1.3", "--out", str(out)]) == 0
+    meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
+    assert meta["arithmetic"] == "real"
 
 
 class TestSweepCommand:
@@ -191,6 +204,7 @@ class TestSweepCommand:
         assert meta["config"]["workers"] == 2
         assert meta["workers"] == 2
         assert meta["rows"] == 2
+        assert meta["arithmetic"] == "real"
 
     def test_unknown_diagnostic_is_config_error(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -276,20 +276,29 @@ class TestTrajectory:
 
 
 class TestMemoryPreflight:
-    @pytest.mark.parametrize("phi", [0.0, 1.3])
-    def test_estimate_bounds_measured_peak(self, field01, phi):
+    @staticmethod
+    def measured_peak(joint):
         # tracemalloc sees numpy's buffers; 1200 samples span several blocks
-        atom = bloch_qubit(BlochParams(0.7, 0.4, phi))
         tracemalloc.start()
         try:
-            joint = product_state(atom, field01)
             trajectory_data(joint, np.arange(0.0, 12.0, 0.01), ppt=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        dtype = dynamics._gauged(joint).dtype
-        assert dtype == (np.complex128 if phi else np.float64)
-        assert peak <= dynamics.peak_bytes(field01.dim, dtype)
+        return peak
+
+    @pytest.mark.parametrize("phi", [0.0, 1.3])
+    def test_estimate_bounds_measured_peak(self, field01, phi):
+        # every Bloch atom on a diagonal field evolves real
+        joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, phi)), field01)
+        assert dynamics.arithmetic(joint) == "real"
+        assert self.measured_peak(joint) <= dynamics.peak_bytes(field01.dim, float)
+
+    def test_estimate_bounds_measured_peak_complex(self, rng):
+        # a dense entangled state occupies every pair block in complex128
+        joint = random_density(rng, 30, (2, 15))
+        assert dynamics.arithmetic(joint) == "complex"
+        assert self.measured_peak(joint) <= dynamics.peak_bytes(15, complex)
 
     def test_scales_with_workers_and_dtype(self):
         assert dynamics.peak_bytes(15, float, 2) == 2 * dynamics.peak_bytes(15, float)

@@ -1,13 +1,14 @@
 """Property tests of the evolution engine over random thermal fields, Bloch atoms and times."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
 from dense_oracle import dense_trajectory
 from jcentropy import (
     BlochParams,
+    SweepGrid,
     TrajectoryData,
     auto_truncate,
     bloch_qubit,
@@ -15,6 +16,7 @@ from jcentropy import (
     evolve,
     partial_transpose,
     product_state,
+    run_sweep,
     thermal_field,
     trajectory_data,
 )
@@ -48,25 +50,37 @@ def assert_matches_oracle(joint, grid):
 @given(n_bars, radii, thetas, times)
 def test_real_path_matches_dense_oracle(n_bar, r, theta, ts):
     joint = joint_state(n_bar, r, theta, 0.0)
-    assert dynamics._gauged(joint).dtype == np.float64
+    assert dynamics.arithmetic(joint) == "real"
     assert_matches_oracle(joint, grid_of(ts))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_bars, radii, thetas, phis, times)
+@example(2.225073858507203e-309, 1.0, 0.0, 1.5, [1.0])  # subnormal level-1 weight
 def test_complex_path_matches_dense_oracle(n_bar, r, theta, phi, ts):
+    # a complex-valued atom: the phi factor of the gauge makes it real
     joint = joint_state(n_bar, r, theta, phi)
-    # the field is diagonal, so the gauged state is complex exactly when the atom is
-    expected = np.complex128 if joint.mat[0, joint.dims[1]].imag else np.float64
-    assert dynamics._gauged(joint).dtype == expected
+    assert dynamics.arithmetic(joint) == "real"
     assert_matches_oracle(joint, grid_of(ts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_bars, radii, thetas, phis, times)
+def test_phi_changes_no_diagnostic(n_bar, r, theta, phi, ts):
+    # exp(-i phi N) is a local unitary that commutes with the evolution
+    grid = grid_of(ts)
+    turned = trajectory_data(joint_state(n_bar, r, theta, phi), grid, ppt=True)
+    plain = trajectory_data(joint_state(n_bar, r, theta, 0.0), grid, ppt=True)
+    for name in TrajectoryData.__dataclass_fields__:
+        assert np.abs(getattr(turned, name) - getattr(plain, name)).max() <= 1e-12, name
+    assert np.array_equal(turned.n_significant, plain.n_significant)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 12), times)
 def test_entangled_complex_state_matches_dense_oracle(seed, f_dim, ts):
     joint = random_density(np.random.default_rng(seed), 2 * f_dim, (2, f_dim))
-    assert dynamics._gauged(joint).dtype == np.complex128
+    assert dynamics.arithmetic(joint) == "complex"
     assert_matches_oracle(joint, grid_of(ts))
 
 
@@ -90,3 +104,16 @@ def test_partial_transpose_spectrum(n_bar, r, theta, phi, ts):
         w = np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims))
         assert abs(w.sum() - 1.0) <= 1e-10
         assert np.count_nonzero(w < 0.0) <= rho.dims[1] - 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0),
+       st.lists(st.one_of(st.sampled_from([-np.pi / 2, np.pi / 2]), thetas),
+                min_size=1, max_size=3, unique=True),
+       st.lists(radii, min_size=1, max_size=3, unique=True),
+       st.integers(min_value=2, max_value=40))
+def test_sweep_independent_of_worker_count(n_bar, theta_values, r_values, n_t):
+    # at theta = +-pi/2 the off-diagonal pair blocks hold only cos(pi/2) ~ 6e-17
+    grid = SweepGrid(np.sort(theta_values), np.sort(r_values), n_bar, auto_truncate(n_bar),
+                     0.1 * np.arange(n_t))
+    assert run_sweep(grid, workers=1) == run_sweep(grid, workers=2)
