@@ -10,7 +10,6 @@ from .dynamics import (
     TrajectoryData,
     diagonal_evolve,
     evolve,
-    excitation_expectation,
     trajectory_data,
 )
 from .entanglement import (

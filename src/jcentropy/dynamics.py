@@ -11,9 +11,11 @@ number, which commutes with the rotations; on a diagonal field that is the
 local unitary exp(-i phi N), so every Bloch atom evolves in real arithmetic.
 Each requested time rotates the 2x2 pair blocks of sigma0 that hold a nonzero
 (3F of F^2 for a product state): no step composition, no dense propagator.
-Both factors are local, so every diagnostic (reduced spectra and purities,
-excitation number, joint and partial-transpose spectra) is read off the
-gauged state; only ``evolve`` maps back.
+Both factors are local, so every diagnostic is read off the gauged state;
+only ``evolve`` maps back.  The Hermiticity and trace checks, both partial
+traces, the purities and the excitation number are read straight off the
+rotated blocks.  Only an eigensolve of the joint state or of its partial
+transpose scatters them into a dense sample.
 
 Basis order is atom-major: all excited-sector Fock levels, then all
 ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +42,8 @@ from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL,
 # block that stays in cache beats a longer batch; results do not depend on it.
 CHUNK_BYTES = 2 << 20
 # Peak working set of one trajectory with a margin, in blocks of evolved samples and
-# dense complex joint matrices; tracemalloc measured up to 3.4 blocks real, 5.8 complex.
+# dense complex joint matrices.  tracemalloc at D = 30, 96 and 228 measured up to 2.7
+# blocks real and 5.5 complex with an eigensolve, 0.15 real without one at D = 96.
 _BLOCKS_LIVE, _MATRICES_LIVE = 6, 8
 
 
@@ -78,27 +82,64 @@ def arithmetic(rho0: DensityMatrix) -> str:
     return "real" if _gauged(rho0)[0].dtype == np.float64 else "complex"
 
 
-def _pair_blocks(sigma0: np.ndarray):
-    """The 2x2 blocks of ``sigma0`` holding a nonzero, over the pairs (|e,k>, |g,k+1>), k < F-1,
-    and (|e,F-1>, |g,0>), which never rotates; with the basis indices of each block."""
+class _Blocks(NamedTuple):
+    """The occupied 2x2 pair blocks of a gauged state; block b joins pairs k[b] and l[b]."""
+
+    f_dim: int
+    k: np.ndarray
+    l: np.ndarray
+    x: np.ndarray        # (n_blocks, 2, 2) entries at t = 0
+    rows: np.ndarray     # (n_blocks, 2, 1) basis rows of each block
+    cols: np.ndarray     # (n_blocks, 1, 2) basis columns of each block
+    upper: np.ndarray    # the blocks with k <= l ...
+    partner: np.ndarray  # ... and the index of their transpose (l, k)
+
+
+def _pair_blocks(sigma0: np.ndarray) -> _Blocks:
+    """The 2x2 blocks of ``sigma0`` over the pairs (|e,k>, |g,k+1>), k < F-1, and
+    (|e,F-1>, |g,0>), which never rotates, that hold a nonzero or whose transpose does."""
     f_dim = sigma0.shape[0] // 2
     pairs = np.stack([np.arange(f_dim), np.r_[f_dim + 1 : 2 * f_dim, f_dim]], axis=1)
     x = sigma0[pairs[:, :, None, None], pairs]
-    k, l = np.nonzero(x.any(axis=(1, 3)))
-    return k, l, x[k, :, l], pairs[k][:, :, None], pairs[l][:, None, :]
+    held = x.any(axis=(1, 3))
+    k, l = np.nonzero(held | held.T)
+    index = np.zeros((f_dim, f_dim), dtype=int)
+    index[k, l] = np.arange(k.size)
+    upper = np.flatnonzero(k <= l)
+    return _Blocks(f_dim, k, l, x[k, :, l], pairs[k][:, :, None], pairs[l][:, None, :],
+                   upper, index[l[upper], k[upper]])
 
 
-def _rotate(blocks, times: FloatArray, out: np.ndarray) -> np.ndarray:
-    """R(t) sigma0 R(t)^T into ``out``, one sample per time: R_k X_kl R_l^T per occupied block."""
-    k, l, x, rows, cols = blocks
-    alpha, _ = ladder(out.shape[-1] // 2)  # pair frequencies sqrt(1)..sqrt(F-1), then 0
+def _rotate(blocks: _Blocks, times: FloatArray) -> np.ndarray:
+    """R_k X_kl R_l^T for every occupied block at every time, shape (T, n_blocks, 2, 2)."""
+    k, l, x = blocks.k, blocks.l, blocks.x
+    alpha, _ = ladder(blocks.f_dim)  # pair frequencies sqrt(1)..sqrt(F-1), then 0
     phases = np.multiply.outer(times, alpha)
     c, s = np.cos(phases), np.sin(phases)
     ck, sk, cl, sl = (a[:, :, None] for a in (c[:, k], s[:, k], c[:, l], s[:, l]))
-    r = np.stack([ck * x[:, 0] - sk * x[:, 1], sk * x[:, 0] + ck * x[:, 1]], axis=2)
+    r = np.empty((times.size,) + x.shape, x.dtype)  # C order, whatever the layout of c[:, k]
+    np.subtract(ck * x[:, 0], sk * x[:, 1], out=r[:, :, 0])
+    np.add(sk * x[:, 0], ck * x[:, 1], out=r[:, :, 1])
+    # then the columns, in place: the products are formed before either column is written
     re, rg = r[..., 0], r[..., 1]
-    out[:, rows, cols] = np.stack([cl * re - sl * rg, sl * re + cl * rg], axis=3)
-    return out
+    turned = cl * re - sl * rg
+    np.add(sl * re, cl * rg, out=rg)
+    re[...] = turned
+    return r
+
+
+def _hermiticity_residual(blocks: _Blocks, x_t: np.ndarray) -> float:
+    """max |rho - rho^dag| over the samples ``x_t`` of the blocks: each block with k <= l
+    against its transpose, one entry at a time, so no temporary exceeds 1/8 of ``x_t``."""
+    u, p = blocks.upper, blocks.partner
+    return max(float(np.abs(x_t[:, u, i, j] - x_t[:, p, j, i].conj()).max())
+               for i in (0, 1) for j in (0, 1))
+
+
+def _basis_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along axis 1 from left to right, the order ``einsum`` adds a trace in; copied,
+    so that the partial sums are freed."""
+    return np.add.accumulate(a, axis=1)[:, -1].copy()
 
 
 def _chunk_samples(dim: int, dtype) -> int:
@@ -131,7 +172,9 @@ def require_memory(f_dim: int, dtype, workers: int = 1) -> None:
 def evolve(rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Rotate the gauged state to time ``t``, undo the gauge and revalidate."""
     sigma0, omega = _gauged(rho0)
-    sigma = _rotate(_pair_blocks(sigma0), np.array([float(t)]), np.zeros_like(sigma0)[None])[0]
+    blocks = _pair_blocks(sigma0)
+    sigma = np.zeros_like(sigma0)
+    sigma[blocks.rows, blocks.cols] = _rotate(blocks, np.array([float(t)]))[0]
     sigma = sigma * _phi_factors(rho0.dims[1], omega).conj()
     g = _field_phases(rho0.dims[1])
     return validate_density(g.conj()[:, None] * sigma * g, rho0.dims)
@@ -170,12 +213,6 @@ def diagonal_evolve(
 def _excitation_weights(f_dim: int) -> FloatArray:
     n = np.arange(f_dim, dtype=float)
     return np.concatenate([n + 1.0, n])  # |e,n> carries n+1 quanta, |g,n> carries n
-
-
-def excitation_expectation(rho: DensityMatrix) -> float:
-    """Expectation of the conserved excitation number (photons + atomic inversion)."""
-    _, d_f = rho.require_joint()
-    return float(np.real(np.diagonal(rho.mat)) @ _excitation_weights(d_f))
 
 
 @dataclass(frozen=True)
@@ -223,7 +260,8 @@ def trajectory_data(
     """Evolve ``rho0`` over the grid and collect all per-sample diagnostics.
 
     Each sample is rotated directly from the gauged initial state.  Every
-    evolved matrix is checked for Hermiticity and unit trace; with
+    evolved sample is checked for Hermiticity and unit trace on its pair
+    blocks, which hold all of its nonzero entries; with
     ``full_verification`` its spectrum is also recomputed, which verifies
     positivity and yields the joint entropy per sample.  Without it the joint
     spectrum of the initial state is reused (exact under unitary evolution,
@@ -235,24 +273,37 @@ def trajectory_data(
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
-    occupied = _pair_blocks(sigma0)
+    blocks = _pair_blocks(sigma0)
+    # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block
+    k, l = blocks.k, blocks.l
+    k_up, l_up = (k + 1) % d_f, (l + 1) % d_f
+    on_diag = np.flatnonzero(k == l)
+    coherent = np.flatnonzero(l == (k - 1) % d_f)  # entry (0, 1) is <e,k| rho |g,k>
     chunk = _chunk_samples(sigma0.shape[0], sigma0.dtype)
-    work = np.zeros((2, min(chunk, grid.size)) + sigma0.shape, sigma0.dtype)
+    dense = None
+    if ppt or full_verification:  # the eigensolves need the dense samples
+        dense = np.zeros((min(chunk, grid.size),) + sigma0.shape, sigma0.dtype)
     parts = []
 
     for start in range(0, grid.size, chunk):
         times = grid[start : start + chunk]
-        rho_t = _rotate(occupied, times, work[0, : times.size])
+        x_t = _rotate(blocks, times)
+        n = times.size
 
-        resid = np.conjugate(rho_t.transpose(0, 2, 1), out=work[1, : times.size])
-        herm = np.abs(np.subtract(rho_t, resid, out=resid)).max()
+        herm = _hermiticity_residual(blocks, x_t)
         if herm > HERMITICITY_TOL:
-            raise NotHermitian(float(herm), HERMITICITY_TOL)
-        traces = np.einsum("tii->t", rho_t)
+            raise NotHermitian(herm, HERMITICITY_TOL)
+        diag = np.zeros((n, 2 * d_f), x_t.dtype)
+        diag[:, k[on_diag]] = x_t[:, on_diag, 0, 0]
+        diag[:, d_f + k_up[on_diag]] = x_t[:, on_diag, 1, 1]
+        traces = _basis_sum(diag)
         worst = np.argmax(np.abs(traces - 1.0))
         if abs(traces[worst] - 1.0) > TRACE_TOL:
             raise TraceNotOne(complex(traces[worst]), TRACE_TOL)
 
+        if dense is not None:
+            rho_t = dense[:n]
+            rho_t[:, blocks.rows, blocks.cols] = x_t
         if full_verification:
             w_joint = eigvalsh(rho_t)
             low = float(w_joint[:, 0].min())
@@ -260,16 +311,20 @@ def trajectory_data(
                 raise NotPositive(low, PSD_FLOOR)
             s_joint = entropy_from_spectrum(w_joint)
         else:
-            s_joint = np.full(times.size, s_joint_initial)
+            s_joint = np.full(n, s_joint_initial)
 
-        blocks = rho_t.reshape(-1, d_a, d_f, d_a, d_f)
-        r_atom = np.einsum("tifjf->tij", blocks)
-        r_field = np.einsum("taiaj->tij", blocks)
+        # partial traces: the atom's from the diagonal and the coherences, the field's from
+        # the same-sector entries, excited ones added first
+        coh = np.zeros((n, d_f), x_t.dtype)
+        coh[:, k[coherent]] = x_t[:, coherent, 0, 1]
+        r_field = np.zeros((n, d_f, d_f), x_t.dtype)
+        r_field[:, k, l] += x_t[:, :, 0, 0]
+        r_field[:, k_up, l_up] += x_t[:, :, 1, 1]
 
         # 2x2 spectra in closed form
-        a = r_atom[:, 0, 0].real
-        b = r_atom[:, 1, 1].real
-        off = np.abs(r_atom[:, 0, 1])
+        a = _basis_sum(diag[:, :d_f].real)
+        b = _basis_sum(diag[:, d_f:].real)
+        off = np.abs(_basis_sum(coh))
         half_gap = np.sqrt(0.25 * (a - b) ** 2 + off**2)
         mean = 0.5 * (a + b)
         w_atom = np.stack([mean - half_gap, mean + half_gap], axis=1)
@@ -279,11 +334,11 @@ def trajectory_data(
             "s_joint": s_joint,
             "purity_atom": a * a + b * b + 2.0 * off * off,
             "purity_field": (np.abs(r_field) ** 2).sum(axis=(1, 2)),
-            "n_expectation": np.einsum("tii,i->t", rho_t, weights).real,
+            "n_expectation": _basis_sum(diag.real * weights),
         }
         if ppt:
             report = ppt_report(rho_t, (d_a, d_f), artifact_threshold)
             part.update((f.name, getattr(report, f.name)) for f in fields(PptReport))
         parts.append(part)
 
-    return TrajectoryData(t=grid, **{k: np.concatenate([p[k] for p in parts]) for k in parts[0]})
+    return TrajectoryData(t=grid, **{c: np.concatenate([p[c] for p in parts]) for c in parts[0]})

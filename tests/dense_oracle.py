@@ -38,6 +38,12 @@ def dense_states(rho0, t_grid) -> np.ndarray:
     return u @ rho0.mat @ u.conj().transpose(0, 2, 1)
 
 
+def excitation_expectation(rho) -> float:
+    """Expectation of the conserved excitation number (photons + atomic inversion)."""
+    n = np.arange(rho.dims[1], dtype=float)
+    return float(np.real(np.diagonal(rho.mat)) @ np.concatenate([n + 1.0, n]))
+
+
 def dense_trajectory(rho0, t_grid, threshold: float = ARTIFACT_THRESHOLD) -> TrajectoryData:
     """Every ``TrajectoryData`` column, the PPT ones included, on the dense path."""
     d_a, d_f = rho0.dims

@@ -5,17 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_density, random_pure_product
-from dense_oracle import propagator_stack
+from dense_oracle import excitation_expectation, propagator_stack
 from jcentropy import (
     BlochParams,
     InsufficientMemory,
     InvalidParameter,
     NoConvergence,
+    NotHermitian,
+    TraceNotOne,
     bloch_qubit,
     diagonal_evolve,
     dynamics,
     evolve,
-    excitation_expectation,
     ladder,
     partial_trace,
     ppt_report,
@@ -24,6 +25,7 @@ from jcentropy import (
     trajectory_data,
     validate_density,
 )
+from jcentropy.linalg import hermiticity_residual
 
 
 def propagator(n_f, t):
@@ -275,13 +277,70 @@ class TestTrajectory:
             trajectory_data(ground_joint, np.array([]))
 
 
+class TestBlockChecks:
+    """The invariant checks read off the rotated pair blocks, without a dense sample."""
+
+    @staticmethod
+    def perturb(monkeypatch, select, entry):
+        # add 1e-9 to one entry of the first selected block at every sample
+        rotate = dynamics._rotate
+
+        def perturbed(blocks, times):
+            x_t = rotate(blocks, times)
+            x_t[(slice(None), np.flatnonzero(select(blocks))[0]) + entry] += 1e-9
+            return x_t
+
+        monkeypatch.setattr(dynamics, "_rotate", perturbed)
+
+    @pytest.fixture
+    def coherent_joint(self, field01):
+        return product_state(bloch_qubit(BlochParams(0.7, 0.4)), field01)
+
+    def test_off_diagonal_block_raises_not_hermitian(self, coherent_joint, monkeypatch):
+        self.perturb(monkeypatch, lambda b: b.k != b.l, (0, 1))
+        with pytest.raises(NotHermitian) as exc:
+            trajectory_data(coherent_joint, np.arange(0.0, 1.0, 0.1),
+                            ppt=False, full_verification=False)
+        assert exc.value.residual == pytest.approx(1e-9, rel=1e-6)
+
+    def test_diagonal_entry_raises_trace_not_one(self, coherent_joint, monkeypatch):
+        self.perturb(monkeypatch, lambda b: b.k == b.l, (0, 0))
+        with pytest.raises(TraceNotOne) as exc:
+            trajectory_data(coherent_joint, np.arange(0.0, 1.0, 0.1),
+                            ppt=False, full_verification=False)
+        assert abs(exc.value.trace - 1.0) == pytest.approx(1e-9, rel=1e-6)
+
+    @staticmethod
+    def block_and_dense_residuals(sigma0, times):
+        blocks = dynamics._pair_blocks(sigma0)
+        x_t = dynamics._rotate(blocks, times)
+        dense = np.zeros((len(times),) + sigma0.shape, sigma0.dtype)
+        dense[:, blocks.rows, blocks.cols] = x_t
+        return (dynamics._hermiticity_residual(blocks, x_t),
+                max(hermiticity_residual(m) for m in dense))
+
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-20 + 3e-20j])
+    def test_unpaired_tiny_entry_matches_dense_residual(self, ground_joint, tiny):
+        # (|e,0>, |e,5>) lies in pair block (0, 5); its transpose block holds exact zeros
+        sigma0 = ground_joint.mat.real.astype(type(tiny))
+        sigma0[0, 5] = tiny
+        assert sigma0[5, 0] == 0.0
+        block, dense = self.block_and_dense_residuals(sigma0, np.array([0.0, 0.8, 3.1]))
+        assert block == dense > 0.0
+
+    def test_dense_state_matches_dense_residual(self, rng):
+        sigma0 = random_density(rng, 30, (2, 15)).mat
+        block, dense = self.block_and_dense_residuals(sigma0, np.arange(0.0, 2.0, 0.3))
+        assert block == dense > 0.0
+
+
 class TestMemoryPreflight:
     @staticmethod
-    def measured_peak(joint):
+    def measured_peak(joint, grid=np.arange(0.0, 12.0, 0.01), **checks):
         # tracemalloc sees numpy's buffers; 1200 samples span several blocks
         tracemalloc.start()
         try:
-            trajectory_data(joint, np.arange(0.0, 12.0, 0.01), ppt=True)
+            trajectory_data(joint, grid, **{"ppt": True, **checks})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -312,3 +371,10 @@ class TestMemoryPreflight:
             dynamics.require_memory(15, float, 2)
         assert exc.value.need == need
         dynamics.require_memory(15, float, 1)
+
+    def test_block_path_peaks_below_one_dense_block(self):
+        # without an eigensolve no dense (block, D, D) sample is built: D = 96, as in sweep-hot
+        joint = product_state(bloch_qubit(BlochParams(0.7, 0.4)), thermal_field(1.0, 46))
+        peak = self.measured_peak(joint, np.arange(0.0, 25.005, 0.01),
+                                  ppt=False, full_verification=False)
+        assert peak < dynamics.CHUNK_BYTES
