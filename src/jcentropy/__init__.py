@@ -23,16 +23,11 @@ from .entropy import (
     EntropySeries,
     ExchangeResult,
     MutualRatioResult,
-    conditional_entropy,
     entropy_from_spectrum,
     exchange_parameter,
-    mutual_entropy,
     mutual_entropy_ratio,
-    purity,
     purity_rate_approx,
     purity_rate_exact,
-    tsallis2,
-    von_neumann,
 )
 from .errors import (
     AllStepsSkipped,
@@ -47,13 +42,13 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-from .linalg import eigvalsh, kron
 from .states import (
     BlochParams,
     DensityMatrix,
     FieldDistribution,
     auto_truncate,
     bloch_qubit,
+    eigvalsh,
     ladder,
     partial_trace,
     product_state,
@@ -64,7 +59,6 @@ from .sweep import (
     SweepCell,
     SweepGrid,
     default_grid,
-    exchange_region,
     fixed_point,
     run_sweep,
 )

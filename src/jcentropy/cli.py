@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 selfcheck failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,6 +44,7 @@ from .states import (
     partial_trace,
     product_state,
     thermal_field,
+    truncation_floor,
     validate_density,
 )
 
@@ -50,8 +52,6 @@ EXIT_OK = 0
 EXIT_SELFCHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-AUTO_TRUNCATE_TOL = 1e-14
 
 EVOLVE_HEADER = (
     "lambda_t,S_a,S_f,S_af,dS_a,dS_f,dS_sum,purity_a,purity_f,N_expect,lambda_m,n_neg_sig"
@@ -104,9 +104,11 @@ class RunConfig:
         return self
 
     def resolved_n_f(self) -> int:
-        if self.n_f == "auto":
-            return auto_truncate(self.n_bar, AUTO_TRUNCATE_TOL)
-        return int(self.n_f)
+        if self.n_f != "auto":
+            return int(self.n_f)
+        # the scan is quadratic in n_f: refuse on its closed-form floor before running it
+        dynamics.require_memory(truncation_floor(self.n_bar) + 2, float)
+        return auto_truncate(self.n_bar)
 
     def time_grid(self) -> np.ndarray:
         return np.arange(0.0, self.t_max + self.dt / 2, self.dt)
@@ -384,24 +386,25 @@ def _check_ppt_involution() -> float:
 
 def _check_thermal_entropy() -> float:
     n_bar = 0.1
-    field = thermal_field(n_bar, auto_truncate(n_bar, AUTO_TRUNCATE_TOL))
+    field = thermal_field(n_bar, auto_truncate(n_bar))
     closed = (n_bar + 1) * np.log(n_bar + 1) - n_bar * np.log(n_bar)
     return float(abs(entropy.entropy_from_spectrum(field.probs) - closed))
 
 
+@functools.cache
+def _conservation_trajectory() -> dynamics.TrajectoryData:
+    """One trajectory shared by the conservation and subadditivity checks."""
+    joint = product_state(bloch_qubit(BlochParams(0.8, 0.2, 0.0)), thermal_field(0.1, 13))
+    return dynamics.trajectory_data(joint, np.arange(0.0, 10.0, 0.05))
+
+
 def _check_excitation_conservation() -> float:
-    field = thermal_field(0.1, 13)
-    atom = bloch_qubit(BlochParams(0.8, 0.2, 0.0))
-    joint = product_state(atom, field)
-    data = dynamics.trajectory_data(joint, np.arange(0.0, 10.0, 0.05))
+    data = _conservation_trajectory()
     return float(data.n_expectation.max() - data.n_expectation.min())
 
 
 def _check_subadditivity() -> float:
-    field = thermal_field(0.1, 13)
-    atom = bloch_qubit(BlochParams(0.8, 0.2, 0.0))
-    joint = product_state(atom, field)
-    data = dynamics.trajectory_data(joint, np.arange(0.0, 10.0, 0.05))
+    data = _conservation_trajectory()
     margin = data.s_atom + data.s_field - data.s_joint
     return float(max(0.0, -margin.min()))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, TraceNotOne
-from .linalg import ComplexMatrix, FloatArray, eigvalsh
+from .states import ComplexMatrix, FloatArray, eigvalsh
 
 # Well above the observed artifact scale (1e-16 .. 1e-18 at the default
 # truncation) and below any physical negativity at these dimensions.

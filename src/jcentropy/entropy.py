@@ -1,4 +1,4 @@
-"""Entropy and purity measures plus entropy-correlation diagnostics.
+"""Spectral entropy, entropy-correlation diagnostics and partial-purity rates.
 
 All entropies are von Neumann entropies in nats (natural log, k_B = 1).
 Time-series diagnostics quantify how the atomic and field partial entropies
@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import AllStepsSkipped, InvalidParameter
-from .linalg import FloatArray
-from .states import DensityMatrix, FieldDistribution, ladder, partial_trace
+from .states import FieldDistribution, FloatArray, ladder
 
 # Spectrum values below this are treated as exact zeros before taking logs;
 # it sits well above the eigensolver noise floor.
@@ -34,42 +33,6 @@ def entropy_from_spectrum(w, clamp: float = EIGENVALUE_CLAMP) -> float:
     safe = np.where(w > clamp, w, 1.0)
     out = -(np.where(w > clamp, w, 0.0) * np.log(safe)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def von_neumann(rho: DensityMatrix) -> float:
-    """von Neumann entropy -Tr(rho ln rho) in nats."""
-    return float(entropy_from_spectrum(rho.eigenvalues))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), in (0, 1]; equals 1 exactly for pure states."""
-    return float(np.vdot(rho.mat, rho.mat).real)
-
-
-def tsallis2(rho: DensityMatrix) -> float:
-    """Order-2 Tsallis entropy 1 - Tr(rho^2)."""
-    return 1.0 - purity(rho)
-
-
-def conditional_entropy(rho_joint: DensityMatrix, which: str) -> float:
-    """S(X|Y) = S_joint - S_Y; negative values certify entanglement.
-
-    ``which`` selects the conditioned subsystem: "atom_given_field" or
-    "field_given_atom".
-    """
-    s_joint = von_neumann(rho_joint)
-    if which == "atom_given_field":
-        return s_joint - von_neumann(partial_trace(rho_joint, "field"))
-    if which == "field_given_atom":
-        return s_joint - von_neumann(partial_trace(rho_joint, "atom"))
-    raise InvalidParameter(f"which must name a conditional entropy, got {which!r}")
-
-
-def mutual_entropy(rho_joint: DensityMatrix) -> float:
-    """S(atom) + S(field) - S(joint); bounded by twice the smaller partial entropy."""
-    s_a = von_neumann(partial_trace(rho_joint, "atom"))
-    s_f = von_neumann(partial_trace(rho_joint, "field"))
-    return s_a + s_f - von_neumann(rho_joint)
 
 
 @dataclass(frozen=True)

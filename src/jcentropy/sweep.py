@@ -31,8 +31,7 @@ from .errors import (
     NoConvergence,
     ValidationError,
 )
-from .linalg import FloatArray
-from .states import BlochParams, bloch_qubit, product_state, thermal_field
+from .states import BlochParams, FloatArray, bloch_qubit, product_state, thermal_field
 
 # Every SPOT_CHECK_STRIDE-th cell reruns with per-sample spectrum verification
 # and conservation assertions; selection is deterministic so sweeps stay
@@ -246,11 +245,3 @@ def run_sweep(
         initargs=(grid, diagnostics, eps, artifact_threshold),
     ) as pool:
         return pool.map(_cell_by_index, indices, chunksize=chunk)
-
-
-def exchange_region(cells, cutoff: float) -> list[SweepCell]:
-    """Cells whose exchange parameter is defined and below ``cutoff``.
-
-    Cutoffs below -1 select nothing since the parameter is bounded.
-    """
-    return [c for c in cells if c.p is not None and c.p < cutoff]

@@ -38,6 +38,11 @@ def dense_states(rho0, t_grid) -> np.ndarray:
     return u @ rho0.mat @ u.conj().transpose(0, 2, 1)
 
 
+def purity(rho) -> float:
+    """Tr(rho^2) of a validated state, from its full matrix."""
+    return float(np.vdot(rho.mat, rho.mat).real)
+
+
 def excitation_expectation(rho) -> float:
     """Expectation of the conserved excitation number (photons + atomic inversion)."""
     n = np.arange(rho.dims[1], dtype=float)

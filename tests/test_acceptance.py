@@ -22,7 +22,6 @@ from jcentropy import (
     diagonal_evolve,
     evolve,
     exchange_parameter,
-    exchange_region,
     partial_trace,
     product_state,
     purity_rate_approx,
@@ -31,7 +30,6 @@ from jcentropy import (
     thermal_field,
     trajectory_data,
     validate_density,
-    von_neumann,
 )
 from jcentropy.entropy import entropy_from_spectrum
 
@@ -226,6 +224,11 @@ def test_c08_conservation_suite(field01, ground_data, excited_data, near_complet
     )
 
 
+def _exchange_region(cells, cutoff: float) -> list:
+    """Cells whose exchange parameter is defined and below ``cutoff``."""
+    return [c for c in cells if c.p is not None and c.p < cutoff]
+
+
 def _two_region_check(cells, cutoff: float, n_theta: int) -> tuple[bool, str]:
     """Exchange region against the PPT-clean region on a theta-major map.
 
@@ -234,7 +237,7 @@ def _two_region_check(cells, cutoff: float, n_theta: int) -> tuple[bool, str]:
     only a negativity far weaker than that of the entangled co-fluctuating
     cells.
     """
-    region_ids = {id(c) for c in exchange_region(cells, cutoff)}
+    region_ids = {id(c) for c in _exchange_region(cells, cutoff)}
     in_region = np.array([id(c) in region_ids for c in cells]).reshape(n_theta, -1)
     # out-of-grid neighbours do not make a cell an edge cell
     pad = np.pad(in_region, 1, constant_values=True)
@@ -309,7 +312,7 @@ def test_c09_edge_negativity_stable_under_basis_growth():
 
 
 def test_c10_mutual_ratio_containment(sweep_cells):
-    exchange = exchange_region(sweep_cells, -0.8)
+    exchange = _exchange_region(sweep_cells, -0.8)
     exchange_inside = all(c.r_bar is not None and c.r_bar <= 1.0 for c in exchange)
     broader = [
         c for c in sweep_cells
@@ -332,7 +335,8 @@ def test_c11_entropy_closed_forms():
         field = thermal_field(n_bar, auto_truncate(n_bar, 1e-14))
         closed = (n_bar + 1) * np.log(n_bar + 1) - n_bar * np.log(n_bar)
         worst = max(worst, abs(entropy_from_spectrum(field.probs) - closed))
-    mixed = abs(von_neumann(validate_density(np.eye(2) / 2, (2,))) - np.log(2))
+    mixed_qubit = validate_density(np.eye(2) / 2, (2,))
+    mixed = abs(entropy_from_spectrum(mixed_qubit.eigenvalues) - np.log(2))
     _report(
         11, "entropy_closed_forms",
         worst < 1e-10 and mixed < 1e-12,

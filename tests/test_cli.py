@@ -134,6 +134,20 @@ def test_memory_preflight_exits_config(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+def test_memory_preflight_refuses_before_truncation_scan(command, tmp_path, monkeypatch, capsys):
+    # at n_bar 1000 the closed-form floor alone needs hundreds of GiB; the scan never runs
+    def scan(*_):
+        raise AssertionError("auto_truncate called")
+
+    monkeypatch.setattr(cli, "auto_truncate", scan)
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: 64 << 30)
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--n-bar", "1000", "--out", str(out)]) == 2
+    assert "estimated peak memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_memory_preflight_sizes_phi_atom_real(tmp_path, monkeypatch):
     # past D = 362 a complex block outgrows a real one; a phi atom evolves real
     real, cplx = dynamics.peak_bytes(182, float), dynamics.peak_bytes(182, complex)

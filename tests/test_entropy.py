@@ -1,29 +1,25 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from conftest import random_density
+from dense_oracle import purity
 from jcentropy import (
     AllStepsSkipped,
     BlochParams,
     EntropySeries,
     InvalidParameter,
     bloch_qubit,
-    conditional_entropy,
+    entropy_from_spectrum,
     evolve,
     exchange_parameter,
-    mutual_entropy,
     mutual_entropy_ratio,
     partial_trace,
     product_state,
-    purity,
     purity_rate_approx,
     purity_rate_exact,
     thermal_field,
     trajectory_data,
-    tsallis2,
     validate_density,
-    von_neumann,
 )
 
 
@@ -47,86 +43,94 @@ def series_from(s_atom, s_field):
     )
 
 
+def at_start(atom, field=None):
+    """The trajectory columns of atom (x) field (vacuum by default) at t = 0."""
+    joint = product_state(atom, field if field is not None else thermal_field(0.0, 1))
+    return trajectory_data(joint, [0.0])
+
+
+def conditional_and_mutual(joint, t_grid=(0.0,)):
+    """S(atom|field) = S_af - S_f and S(atom:field) = S_a + S_f - S_af per sample."""
+    data = trajectory_data(joint, np.asarray(t_grid))
+    return data.s_joint - data.s_field, data.s_atom + data.s_field - data.s_joint
+
+
 class TestVonNeumann:
     def test_pure_state_zero(self, rng):
         psi = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi /= np.linalg.norm(psi)
         rho = validate_density(np.outer(psi, psi.conj()), (6,))
-        assert abs(von_neumann(rho)) < 1e-12
+        assert abs(entropy_from_spectrum(rho.eigenvalues)) < 1e-12
 
     def test_maximally_mixed_qubit(self):
         rho = validate_density(np.eye(2) / 2, (2,))
-        assert abs(von_neumann(rho) - np.log(2)) < 1e-12
+        assert abs(entropy_from_spectrum(rho.eigenvalues) - np.log(2)) < 1e-12
 
     def test_thermal_field_direct_sum_oracle(self):
         field = thermal_field(0.1, 13)
         oracle = -sum(p * np.log(p) for p in field.probs if p > 1e-14)
-        assert abs(von_neumann(field.density_matrix()) - oracle) < 1e-12
+        assert abs(entropy_from_spectrum(field.density_matrix().eigenvalues) - oracle) < 1e-12
         closed = 1.1 * np.log(1.1) - 0.1 * np.log(0.1)
-        assert abs(von_neumann(field.density_matrix()) - closed) < 1e-10
+        assert abs(entropy_from_spectrum(field.density_matrix().eigenvalues) - closed) < 1e-10
 
 
 class TestPurity:
+    """The partial purities ``trajectory_data`` reads off the pair blocks."""
+
     def test_pure(self, rng):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        rho = validate_density(np.outer(psi, psi.conj()), (4,))
-        assert abs(purity(rho) - 1.0) < 1e-13
-        assert abs(tsallis2(rho)) < 1e-13
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a /= np.linalg.norm(a)
+        data = at_start(validate_density(np.outer(a, a.conj()), (2,)))
+        assert abs(data.purity_atom[0] - 1.0) < 1e-13
+        assert abs(data.purity_field[0] - 1.0) < 1e-13
 
     def test_maximally_mixed(self):
-        assert purity(validate_density(np.eye(2) / 2, (2,))) == pytest.approx(0.5)
+        data = at_start(validate_density(np.eye(2) / 2, (2,)))
+        assert data.purity_atom[0] == pytest.approx(0.5)
 
     def test_two_level_hand_value(self):
-        rho = validate_density(np.diag([1 / 12, 11 / 12]).astype(complex), (2,))
-        assert purity(rho) == pytest.approx(122.0 / 144.0, abs=1e-15)
+        data = at_start(validate_density(np.diag([1 / 12, 11 / 12]).astype(complex), (2,)))
+        assert data.purity_atom[0] == pytest.approx(122.0 / 144.0, abs=1e-15)
 
     def test_tracks_entropy_inversely(self, rng):
-        rho = random_density(rng, 5)
-        assert (purity(rho) == pytest.approx(1.0, abs=1e-10)) == (
-            von_neumann(rho) == pytest.approx(0.0, abs=1e-10)
+        data = at_start(random_density(rng, 2))
+        assert (data.purity_atom[0] == pytest.approx(1.0, abs=1e-10)) == (
+            data.s_atom[0] == pytest.approx(0.0, abs=1e-10)
         )
 
 
 class TestConditionalAndMutual:
+    """Conditional and mutual entropy from the entropy columns of a trajectory."""
+
     def test_product_state(self, rng):
         atom = random_density(rng, 2)
-        joint = product_state(atom, thermal_field(0.3, 6))
-        assert abs(conditional_entropy(joint, "atom_given_field") - von_neumann(atom)) < 1e-10
-        assert abs(mutual_entropy(joint)) < 1e-10
+        cond, mutual = conditional_and_mutual(product_state(atom, thermal_field(0.3, 6)))
+        assert abs(cond[0] - entropy_from_spectrum(atom.eigenvalues)) < 1e-10
+        assert abs(mutual[0]) < 1e-10
 
     def test_bell_values(self):
-        joint = bell_joint()
-        assert abs(conditional_entropy(joint, "atom_given_field") + np.log(2)) < 1e-12
-        assert abs(mutual_entropy(joint) - 2 * np.log(2)) < 1e-12
+        cond, mutual = conditional_and_mutual(bell_joint())
+        assert abs(cond[0] + np.log(2)) < 1e-12
+        assert abs(mutual[0] - 2 * np.log(2)) < 1e-12
 
     def test_stationary_in_time_at_matched_populations(self, field01):
         atom = validate_density(np.diag([1 / 12, 11 / 12]).astype(complex), (2,))
-        joint = product_state(atom, field01)
-        values = [
-            conditional_entropy(evolve(joint, t), "atom_given_field")
-            for t in (0.0, 2.0, 8.0)
-        ]
-        assert max(values) - min(values) < 1e-10
+        cond, _ = conditional_and_mutual(product_state(atom, field01), (0.0, 2.0, 8.0))
+        assert cond.max() - cond.min() < 1e-10
 
     def test_mutual_nonnegative(self, rng):
         for _ in range(5):
             joint = random_density(rng, 12, dims=(2, 6))
-            assert mutual_entropy(joint) > -1e-10
+            assert conditional_and_mutual(joint)[1][0] > -1e-10
 
     def test_mutual_bounded(self, rng):
         for _ in range(5):
             joint = random_density(rng, 8, dims=(2, 4))
             upper = 2 * min(
-                von_neumann(partial_trace(joint, "atom")),
-                von_neumann(partial_trace(joint, "field")),
+                entropy_from_spectrum(partial_trace(joint, "atom").eigenvalues),
+                entropy_from_spectrum(partial_trace(joint, "field").eigenvalues),
             )
-            assert mutual_entropy(joint) <= upper + 1e-10
-
-    def test_rejects_unknown_selector(self, rng):
-        joint = random_density(rng, 4, dims=(2, 2))
-        with pytest.raises(InvalidParameter):
-            conditional_entropy(joint, "sideways")
+            assert conditional_and_mutual(joint)[1][0] <= upper + 1e-10
 
 
 class TestExchangeParameter:

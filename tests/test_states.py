@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -9,17 +9,22 @@ from jcentropy import (
     DimensionMismatch,
     InvalidParameter,
     MissingFactorization,
+    NoConvergence,
     NotHermitian,
     NotPositive,
     TraceNotOne,
     auto_truncate,
     bloch_qubit,
+    eigvalsh,
     entropy_from_spectrum,
     partial_trace,
     product_state,
     thermal_field,
     validate_density,
 )
+from jcentropy.states import truncation_floor
+
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestThermalField:
@@ -105,6 +110,19 @@ class TestAutoTruncate:
 
     def test_monotone_in_mean_photon_number(self):
         assert auto_truncate(10.0, 1e-14) > auto_truncate(0.1, 1e-14)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 10.0**e))
+    @example(0.0)
+    @example(1000.0)
+    @example(1.0535688686918734)  # the floor without its margin exceeds the pick here
+    def test_floor_never_exceeds_pick(self, n_bar):
+        assert 1 <= truncation_floor(n_bar) <= auto_truncate(n_bar)
+
+    def test_floor_values(self):
+        assert [truncation_floor(n) for n in (0.0, 0.1, 1.0, 1000.0)] == [1, 12, 43, 26022]
+        with pytest.raises(InvalidParameter):
+            truncation_floor(-0.1)
 
     def test_converged_tail_is_negligible(self):
         n_f = auto_truncate(0.1, 1e-14)
@@ -231,10 +249,11 @@ class TestValidateDensity:
             validate_density(np.zeros((2, 3), dtype=complex), (2,))
 
     def test_rejects_non_finite(self):
-        bad = np.eye(2, dtype=complex) / 2
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            validate_density(bad, (2,))
+        for value in (np.nan, np.inf, complex(0.5, np.inf)):
+            bad = np.eye(2, dtype=complex) / 2
+            bad[0, 0] = value
+            with pytest.raises(InvalidParameter):
+                validate_density(bad, (2,))
 
     def test_dims_must_factor(self):
         with pytest.raises(MissingFactorization):
@@ -246,3 +265,61 @@ def test_field_distribution_entropy_matches_closed_form():
         f = thermal_field(n_bar, auto_truncate(n_bar, 1e-14))
         closed = (n_bar + 1) * np.log(n_bar + 1) - n_bar * np.log(n_bar)
         assert abs(entropy_from_spectrum(f.probs) - closed) < 1e-10
+
+
+def random_complex(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+class TestHermitianEig:
+    def test_pauli_z(self):
+        assert_allclose(eigvalsh(SIGMA_Z), [-1.0, 1.0])
+
+    def test_sorts_diagonal(self):
+        w = eigvalsh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
+
+    def test_eigenvalue_sum_is_trace(self, rng):
+        for n in (2, 5, 16):
+            h = random_complex(rng, n)
+            h = h + h.conj().T
+            w = eigvalsh(h)
+            assert abs(w.sum() - np.trace(h).real) < 1e-10 * n
+
+    def test_stack_matches_single(self, rng):
+        stack = np.stack([random_complex(rng, 5) for _ in range(3)])
+        stack = stack + stack.conj().transpose(0, 2, 1)
+        batched = eigvalsh(stack)
+        for k in range(3):
+            assert np.array_equal(batched[k], eigvalsh(stack[k]))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NoConvergence):
+            eigvalsh(SIGMA_Z)
+
+
+@st.composite
+def hermitian_matrices(draw, max_dim=8):
+    n = draw(st.integers(min_value=2, max_value=max_dim))
+    vals = draw(
+        st.lists(
+            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+            min_size=2 * n * n,
+            max_size=2 * n * n,
+        )
+    )
+    flat = np.array(vals[: n * n]) + 1j * np.array(vals[n * n :])
+    m = flat.reshape(n, n)
+    return m + m.conj().T
+
+
+@settings(max_examples=50, deadline=None)
+@given(hermitian_matrices())
+def test_eigenvalues_real_ascending_and_sum_to_trace(h):
+    w = eigvalsh(h)
+    assert np.all(np.diff(w) >= -1e-12)
+    assert abs(w.sum() - np.trace(h).real) < 1e-10 * h.shape[0]

@@ -9,7 +9,6 @@ from jcentropy import (
     dynamics,
     SweepGrid,
     default_grid,
-    exchange_region,
     fixed_point,
     run_sweep,
 )
@@ -147,23 +146,6 @@ class TestRunSweep:
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidParameter):
             run_sweep(small_grid(), ("exchange",), workers=0)
-
-
-class TestExchangeRegion:
-    def test_selects_by_cutoff(self):
-        grid = SweepGrid(
-            theta_values=np.array([-np.pi / 2, np.pi / 2]),
-            r_values=np.array([0.9]),
-            n_bar=0.1,
-            n_f=9,
-            t_grid=np.arange(0.0, 10.0, 0.05),
-        )
-        cells = run_sweep(grid, ("exchange",), workers=1)
-        assert exchange_region(cells, -1.01) == []
-        selected = exchange_region(cells, -0.8)
-        assert len(selected) == 1 and selected[0].theta == -np.pi / 2
-        everything = exchange_region(cells, 1.0)
-        assert len(everything) == len([c for c in cells if c.p is not None])
 
 
 class TestGridValidation:
