@@ -242,14 +242,15 @@ def auto_truncate(n_bar: float, tol: float = TRUNCATION_TOL) -> int:
         s_prev = s_next
 
 
-def truncation_floor(n_bar: float, tol: float = TRUNCATION_TOL) -> int:
-    """A lower bound on ``auto_truncate(n_bar, tol)`` in closed form, for a pre-flight.
+def truncation_floor(n_bar: float) -> int:
+    """A lower bound on ``auto_truncate(n_bar)`` in closed form, for a pre-flight.
 
     With r = n_bar / (n_bar + 1), moving the cut from n_f to n_f + 1 changes
-    the entropy by exactly r^(n_f+1) H(r), H the binary entropy.  The scan's
-    float sums deviate from that by up to about 1.2 tol (measured over n_bar
-    in [1e-4, 1000]), so the bound is the last n_f whose exact change exceeds
-    4 tol, which the scan cannot pass over.
+    the entropy by exactly r^(n_f+1) H(r), H the binary entropy.  At
+    ``TRUNCATION_TOL`` the scan's float sums deviate from that by up to about
+    1.2 TRUNCATION_TOL (measured over n_bar in [1e-4, 1000]), so the bound is
+    the last n_f whose exact change exceeds 4 TRUNCATION_TOL, which the scan
+    cannot pass over.  The margin holds only at that tolerance, so it is fixed.
     """
     if n_bar < 0:
         raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
@@ -257,7 +258,7 @@ def truncation_floor(n_bar: float, tol: float = TRUNCATION_TOL) -> int:
     if r == 0.0 or r == 1.0:  # vacuum, or n_bar past 2^53, where r rounds to 1
         return 1
     h = -r * math.log(r) - (1.0 - r) * math.log1p(-r)
-    return max(1, math.floor(math.log(4.0 * tol / h) / math.log(r)))
+    return max(1, math.floor(math.log(4.0 * TRUNCATION_TOL / h) / math.log(r)))
 
 
 def bloch_qubit(params: BlochParams) -> DensityMatrix:

@@ -111,8 +111,9 @@ class TestAutoTruncate:
     def test_monotone_in_mean_photon_number(self):
         assert auto_truncate(10.0, 1e-14) > auto_truncate(0.1, 1e-14)
 
+    # random draws stay where the quadratic scan is cheap; n_bar = 1000 is an example
     @settings(max_examples=25, deadline=None)
-    @given(st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 10.0**e))
+    @given(st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0**e))
     @example(0.0)
     @example(1000.0)
     @example(1.0535688686918734)  # the floor without its margin exceeds the pick here
