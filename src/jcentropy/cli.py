@@ -39,6 +39,7 @@ from .errors import (
 )
 from .states import (
     BlochParams,
+    DensityMatrix,
     auto_truncate,
     bloch_qubit,
     partial_trace,
@@ -217,8 +218,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
-                   tail_mass: float, start: float, workers: int, arithmetic: str) -> None:
-    """The CSV, then the sidecar holding what can vary between runs."""
+                   tail_mass: float, start: float, workers: int, joint: DensityMatrix) -> None:
+    """The CSV, then the sidecar holding what can vary between runs; ``joint`` is an
+    initial state of the run, which stands for all of them in the solver fields."""
     with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     meta = {
@@ -232,7 +234,9 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "wall_time_s": time.monotonic() - start,
         "workers": workers,
         "rows": len(lines) - 1,
-        "arithmetic": arithmetic,
+        "arithmetic": dynamics.arithmetic(joint),
+        "field_solver": dynamics.field_solver(joint),
+        "numpy": np.__version__,
     }
     with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -256,8 +260,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # Python floats format faster than numpy scalars, to the same text
     rows = zip(*(col.tolist() for col in columns), data.n_significant.tolist())
     lines = [EVOLVE_HEADER] + [EVOLVE_ROW.format(*row) for row in rows]
-    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1,
-                   dynamics.arithmetic(joint))
+    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1, joint)
     return EXIT_OK
 
 
@@ -276,8 +279,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     ]
     # every cell is a phi = 0 atom on this field, so the first one stands for all
     first = product_state(bloch_qubit(BlochParams(grid.r_values[0], grid.theta_values[0])), field)
-    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers,
-                   dynamics.arithmetic(first))
+    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers, first)
     return EXIT_OK
 
 

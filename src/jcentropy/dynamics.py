@@ -17,6 +17,15 @@ traces, the purities and the excitation number are read straight off the
 rotated blocks.  Only an eigensolve of the joint state or of its partial
 transpose scatters them into a dense sample.
 
+The rotations mix only states of equal excitation number, and the one pair
+that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
+|N_i - N_j| >= 2 that is 0 stays exactly 0.  The reduced field collects only
+entries with N_i - N_j = n - m, so for every Bloch atom on a diagonal field it
+is real and tridiagonal at every time, and its spectrum is solved with LAPACK's
+O(F^2) ``dsterf`` instead of the O(F^3) dense ``eigvalsh``; the eigenvalues are
+bit-identical (see ``states.tridiagonal_eigvalsh``).  The joint and
+partial-transpose spectra stay dense.
+
 Basis order is atom-major: all excited-sector Fock levels, then all
 ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
 truncated space and is left invariant, which keeps the evolution exactly
@@ -35,7 +44,8 @@ from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
 from .entropy import entropy_from_spectrum
 from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
-                     FieldDistribution, FloatArray, eigvalsh, ladder, validate_density)
+                     FieldDistribution, FloatArray, eigvalsh, ladder, tridiagonal_eigvalsh,
+                     tridiagonal_solver, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -61,7 +71,9 @@ def _phi_factors(f_dim: int, omega: complex) -> np.ndarray:
 
 def _gauged(rho0: DensityMatrix) -> tuple[np.ndarray, complex]:
     """(G rho0 G^dag times omega^(N_i - N_j), omega); real where only rounding is imaginary."""
-    _, d_f = rho0.require_joint()
+    d_a, d_f = rho0.require_joint()
+    if d_a != 2:
+        raise InvalidParameter(f"atom factor has dimension {d_a}; the model needs a qubit (2)")
     if d_f < 3:
         raise InvalidParameter(f"n_f={d_f - 2} must be >= 1")
     g = _field_phases(d_f)
@@ -79,6 +91,20 @@ def _gauged(rho0: DensityMatrix) -> tuple[np.ndarray, complex]:
 def arithmetic(rho0: DensityMatrix) -> str:
     """"real" or "complex": the number type ``rho0`` is evolved in."""
     return "real" if _gauged(rho0)[0].dtype == np.float64 else "complex"
+
+
+def _field_tridiagonal(sigma0: np.ndarray) -> bool:
+    """Whether the reduced field stays real and tridiagonal along the trajectory of the
+    gauged state ``sigma0``: it is real, and its entries |N_i - N_j| >= 2 apart are 0."""
+    if sigma0.dtype != np.float64:
+        return False
+    quanta = _excitation_weights(sigma0.shape[0] // 2)
+    return not sigma0[np.abs(np.subtract.outer(quanta, quanta)) >= 2].any()
+
+
+def field_solver(rho0: DensityMatrix) -> str:
+    """"dsterf" or "eigvalsh": the solver of the reduced field spectra of ``rho0``."""
+    return tridiagonal_solver() if _field_tridiagonal(_gauged(rho0)[0]) else "eigvalsh"
 
 
 class _Blocks(NamedTuple):
@@ -272,6 +298,7 @@ def trajectory_data(
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
+    field_eigvalsh = tridiagonal_eigvalsh if _field_tridiagonal(sigma0) else eigvalsh
     blocks = _pair_blocks(sigma0)
     # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block
     k, l = blocks.k, blocks.l
@@ -329,7 +356,7 @@ def trajectory_data(
         w_atom = np.stack([mean - half_gap, mean + half_gap], axis=1)
         part = {
             "s_atom": entropy_from_spectrum(w_atom),
-            "s_field": entropy_from_spectrum(eigvalsh(r_field)),
+            "s_field": entropy_from_spectrum(field_eigvalsh(r_field)),
             "s_joint": s_joint,
             "purity_atom": a * a + b * b + 2.0 * off * off,
             "purity_field": (np.abs(r_field) ** 2).sum(axis=(1, 2)),

@@ -6,12 +6,14 @@ the entire truncated tail, so every state is exactly unit trace regardless of
 where the basis is cut.  The atom is a qubit parameterized on the Bloch ball;
 the joint space is atom (x) field with the atom index major, excited sector
 first.  Matrices are dense complex128 of dimension up to a few hundred; the
-finiteness guard, Hermiticity residual and eigensolver below raise the
+finiteness guard, Hermiticity residual and eigensolvers below raise the
 package's typed errors.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +43,9 @@ PSD_FLOOR = -1e-10
 REAL_GAUGE_ROUNDING = 4 * np.finfo(float).eps
 # Change of the field entropy per extra Fock level below which auto_truncate stops.
 TRUNCATION_TOL = 1e-14
+# LAPACK's dsterf in the ILP64 OpenBLAS that numpy's wheels bundle, then in a plain
+# ILP64 build; both take 64-bit integers.
+_DSTERF_SYMBOLS = ("scipy_dsterf_64_", "dsterf_64_")
 
 
 def as_complex_matrix(a) -> ComplexMatrix:
@@ -69,6 +74,59 @@ def eigvalsh(h) -> FloatArray:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+@functools.cache
+def _dsterf():
+    """``dsterf`` from the LAPACK that numpy's own ``eigvalsh`` calls, or None.
+
+    Looked up on first use, so importing the package does not load it.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        sterf = next(getattr(lib, name) for name in _DSTERF_SYMBOLS if hasattr(lib, name))
+    except (OSError, AttributeError, ImportError, StopIteration):
+        return None
+    sterf.argtypes = [ctypes.c_void_p] * 4  # &n, d, e, &info, with n and info int64
+    sterf.restype = None
+    return sterf
+
+
+def tridiagonal_solver() -> str:
+    """"dsterf", or "eigvalsh" where numpy's LAPACK has none: what
+    :func:`tridiagonal_eigvalsh` runs."""
+    return "eigvalsh" if _dsterf() is None else "dsterf"
+
+
+def tridiagonal_eigvalsh(stack) -> FloatArray:
+    """Ascending eigenvalues of an ``(n, F, F)`` stack of real symmetric tridiagonal matrices.
+
+    Only the diagonal and the first subdiagonal are read, the lower triangle
+    that :func:`eigvalsh` reads.  numpy's ``eigvalsh`` runs LAPACK's ``dsyevd``,
+    which reduces the matrix to tridiagonal form with ``dsytrd`` in O(F^3) and
+    then calls ``dsterf``; ``dsytrd`` leaves a tridiagonal matrix unchanged, so
+    calling ``dsterf`` alone, in O(F^2), gives the same eigenvalues (for
+    largest entries between about 1e-146 and 1e146, which ``dsyevd`` does not
+    rescale).  Where numpy's LAPACK has no ``dsterf`` this is :func:`eigvalsh`.
+    Raises :class:`NoConvergence` if the solver fails.
+    """
+    sterf = _dsterf()
+    if sterf is None:
+        return eigvalsh(stack)
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatch(f"expected an (n, F, F) stack, got shape {stack.shape}")
+    f_dim = stack.shape[-1]
+    d = stack.diagonal(axis1=1, axis2=2).copy()  # overwritten by the eigenvalues
+    e = stack.diagonal(-1, axis1=1, axis2=2).copy()
+    size, info = np.array([f_dim], np.int64), np.zeros(1, np.int64)
+    size_at, info_at, d_at, e_at = size.ctypes.data, info.ctypes.data, d.ctypes.data, e.ctypes.data
+    d_step, e_step = d.strides[0], e.strides[0]
+    for i in range(d.shape[0]):
+        sterf(size_at, d_at + i * d_step, e_at + i * e_step, info_at)
+        if info[0]:
+            raise NoConvergence(f"dsterf: {info[0]} off-diagonal entries did not converge")
+    return d
 
 
 @dataclass(frozen=True)

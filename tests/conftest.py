@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,8 @@ def random_pure_product(rng, f_dim: int):
     f /= np.linalg.norm(f)
     psi = np.kron(a, f)
     return validate_density(np.outer(psi, psi.conj()), (2, f_dim))
+
+
+def failing_sterf(n, d, e, info):
+    """A stand-in for LAPACK's dsterf that reports a failure to converge."""
+    ctypes.c_int64.from_address(info).value = 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jcentropy import cli, dynamics
+from jcentropy.states import tridiagonal_solver
 
 
 def run(argv):
@@ -92,6 +93,8 @@ class TestEvolveCommand:
         assert meta["config"]["atom"] == "excited"
         assert meta["workers"] == 1
         assert meta["arithmetic"] == "real"
+        assert meta["field_solver"] == tridiagonal_solver()
+        assert meta["numpy"] == np.__version__
 
     @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
     def test_rejects_sweep_only_options(self, key, value, tmp_path, capsys):
@@ -219,6 +222,8 @@ class TestSweepCommand:
         assert meta["workers"] == 2
         assert meta["rows"] == 2
         assert meta["arithmetic"] == "real"
+        assert meta["field_solver"] == tridiagonal_solver()
+        assert meta["numpy"] == np.__version__
 
     def test_unknown_diagnostic_is_config_error(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_density, random_pure_product
-from dense_oracle import excitation_expectation, propagator_stack, purity
+from conftest import failing_sterf, random_density, random_pure_product
+from dense_oracle import dense_trajectory, excitation_expectation, propagator_stack, purity
 from jcentropy import (
     BlochParams,
     InsufficientMemory,
@@ -13,6 +13,7 @@ from jcentropy import (
     NoConvergence,
     NotHermitian,
     TraceNotOne,
+    TrajectoryData,
     bloch_qubit,
     diagonal_evolve,
     dynamics,
@@ -26,6 +27,7 @@ from jcentropy import (
     trajectory_data,
     validate_density,
 )
+from jcentropy import states
 from jcentropy.states import hermiticity_residual
 
 
@@ -64,6 +66,18 @@ class TestPropagator:
             evolve(joint, 1.0)  # n_f = 0
         with pytest.raises(InvalidParameter):
             trajectory_data(joint, [0.0, 1.0])
+
+    @pytest.mark.parametrize("dims", [(3, 4), (4, 2)])
+    @pytest.mark.parametrize("entry", [
+        lambda joint: trajectory_data(joint, [0.0, 1.0]),
+        lambda joint: evolve(joint, 1.0),
+        dynamics.arithmetic,
+    ], ids=["trajectory_data", "evolve", "arithmetic"])
+    def test_rejects_non_qubit_atom(self, dims, entry):
+        d = dims[0] * dims[1]
+        joint = validate_density(np.eye(d) / d, dims)
+        with pytest.raises(InvalidParameter, match=f"atom factor has dimension {dims[0]}"):
+            entry(joint)
 
     def test_block_frequencies(self):
         # diagonal entries carry cos(t sqrt(n+1)) and cos(t sqrt(n))
@@ -274,6 +288,53 @@ class TestTrajectory:
             trajectory_data(ground_joint, np.array([0.0, 1.0, 0.5]))
         with pytest.raises(InvalidParameter):
             trajectory_data(ground_joint, np.array([]))
+
+
+class TestFieldSolver:
+    """The reduced field of a Bloch atom on a diagonal field is solved as a tridiagonal."""
+
+    @pytest.mark.parametrize("ppt", [False, True])
+    @pytest.mark.parametrize("n_bar,n_f", [(0.1, 13), (1.0, 46)])
+    def test_fast_path_equals_fallback(self, n_bar, n_f, ppt, monkeypatch):
+        # n_f = 46 puts the field past the crossover to LAPACK's blocked reduction
+        joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, 1.3)), thermal_field(n_bar, n_f))
+        assert dynamics.field_solver(joint) == states.tridiagonal_solver()
+        grid = np.arange(0.0, 2.0, 0.05)
+        fast = trajectory_data(joint, grid, ppt=ppt)
+        monkeypatch.setattr(states, "_dsterf", lambda: None)
+        assert dynamics.field_solver(joint) == "eigvalsh"
+        dense = trajectory_data(joint, grid, ppt=ppt)
+        for name in TrajectoryData.__dataclass_fields__:
+            got, want = getattr(fast, name), getattr(dense, name)
+            assert (got is None and want is None) or np.array_equal(got, want), name
+
+    def test_real_dense_state_takes_dense_path(self, rng, monkeypatch):
+        # no coherence between the atom's sectors keeps the gauged state real, and
+        # entries two and more quanta apart make its reduced field dense
+        f_dim = 8
+        g = rng.normal(size=(2 * f_dim, 2 * f_dim))
+        m = g @ g.T
+        m[:f_dim, f_dim:] = m[f_dim:, :f_dim] = 0.0
+        joint = validate_density(m / np.trace(m), (2, f_dim))
+        assert dynamics.arithmetic(joint) == "real"
+        assert dynamics.field_solver(joint) == "eigvalsh"
+
+        def unexpected(_):
+            raise AssertionError("tridiagonal solver called on a dense field")
+
+        monkeypatch.setattr(dynamics, "tridiagonal_eigvalsh", unexpected)
+        grid = np.arange(0.0, 3.0, 0.25)
+        engine = trajectory_data(joint, grid, ppt=True)
+        oracle = dense_trajectory(joint, grid)
+        for name in TrajectoryData.__dataclass_fields__:
+            assert np.abs(getattr(engine, name) - getattr(oracle, name)).max() <= 1e-12, name
+
+    def test_sterf_failure_is_no_convergence(self, ground_joint, monkeypatch):
+        # the fast path calls no numpy eigvalsh, so it needs its own failure test
+        monkeypatch.setattr(states, "_dsterf", lambda: failing_sterf)
+        with pytest.raises(NoConvergence, match="dsterf"):
+            trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5),
+                            ppt=False, full_verification=False)
 
 
 class TestBlockChecks:

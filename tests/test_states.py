@@ -1,7 +1,11 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from jcentropy import (
@@ -22,7 +26,8 @@ from jcentropy import (
     thermal_field,
     validate_density,
 )
-from jcentropy.states import truncation_floor
+from jcentropy import states
+from jcentropy.states import tridiagonal_eigvalsh, tridiagonal_solver, truncation_floor
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -324,3 +329,43 @@ def test_eigenvalues_real_ascending_and_sum_to_trace(h):
     w = eigvalsh(h)
     assert np.all(np.diff(w) >= -1e-12)
     assert abs(w.sum() - np.trace(h).real) < 1e-10 * h.shape[0]
+
+
+# 0, a few repeated values, or magnitudes of at least 1e-100: dsyevd rescales a matrix
+# whose largest entry is below about 1e-146 before it reduces it, which dsterf does not
+tridiagonal_entries = (st.sampled_from([0.0, 1.0, -0.5])
+                       | st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0))
+
+
+@st.composite
+def tridiagonal_stacks(draw):
+    """Real symmetric tridiagonal (n, F, F) stacks, F on both sides of LAPACK's
+    crossover to a blocked reduction at 32."""
+    f_dim, n = draw(st.integers(1, 80)), draw(st.integers(1, 3))
+    d = draw(hnp.arrays(np.float64, (n, f_dim), elements=tridiagonal_entries))
+    e = draw(hnp.arrays(np.float64, (n, f_dim - 1), elements=tridiagonal_entries))
+    i = np.arange(f_dim)
+    stack = np.zeros((n, f_dim, f_dim))
+    stack[:, i, i] = d
+    stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = e
+    return stack
+
+
+@pytest.mark.parametrize("handle", ["found", "absent"])
+@settings(max_examples=50, deadline=None)
+@given(tridiagonal_stacks())
+@example(np.diag(np.r_[np.ones(24), np.full(24, 0.5)])[None])  # repeated, past the crossover
+def test_tridiagonal_eigvalsh_equals_eigvalsh(handle, stack):
+    absent = mock.patch.object(states, "_dsterf", lambda: None)
+    with absent if handle == "absent" else contextlib.nullcontext():
+        w = tridiagonal_eigvalsh(stack)
+    assert np.array_equal(w, np.linalg.eigvalsh(stack))
+
+
+def test_dsterf_found_in_bundled_openblas():
+    # a symbol renamed in a future numpy fails here rather than falling back unseen
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack}, not its bundled OpenBLAS")
+    assert states._dsterf() is not None
+    assert tridiagonal_solver() == "dsterf"

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import failing_sterf
 from jcentropy import (
     InsufficientMemory,
     InvalidParameter,
@@ -12,6 +13,7 @@ from jcentropy import (
     fixed_point,
     run_sweep,
 )
+from jcentropy import states
 
 
 def small_grid(**overrides):
@@ -140,6 +142,11 @@ class TestRunSweep:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        cells = run_sweep(small_grid(), ("exchange",), workers=1)
+        assert {c.status for c in cells} == {"error:NoConvergence"}
+
+    def test_sterf_failure_is_cell_error(self, monkeypatch):
+        monkeypatch.setattr(states, "_dsterf", lambda: failing_sterf)
         cells = run_sweep(small_grid(), ("exchange",), workers=1)
         assert {c.status for c in cells} == {"error:NoConvergence"}
 
