@@ -13,12 +13,13 @@ Run metadata that can vary between runs (wall time) goes to a sidecar JSON
 next to the data file, never into the CSV.
 
 Exit codes: 0 success, 1 selfcheck failure, 2 configuration error,
-3 numerical validation failure.
+3 numerical validation failure, or a sweep in which no cell is ``ok``.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -235,7 +236,7 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "workers": workers,
         "rows": len(lines) - 1,
         "arithmetic": dynamics.arithmetic(joint),
-        "field_solver": dynamics.field_solver(joint),
+        **dynamics.solvers(joint),
         "numpy": np.__version__,
     }
     with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
@@ -272,6 +273,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     workers = cfg.workers or 1
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
                                 artifact_threshold=cfg.artifact_threshold, workers=workers)
+    statuses = collections.Counter(c.status for c in cells)
+    if "ok" not in statuses:  # a map with no trusted cell is refused, not written
+        raise AllStepsSkipped("no cell has status ok: " + ", ".join(
+            f"{count} {status}" for status, count in sorted(statuses.items())))
     lines = [SWEEP_HEADER] + [
         SWEEP_ROW.format(*(0.0 if v is None else v for v in (c.theta, c.r, c.p, c.r_bar, c.e)),
                          c.n_significant_negatives, c.status)

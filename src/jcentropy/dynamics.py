@@ -14,8 +14,8 @@ Each requested time rotates the 2x2 pair blocks of sigma0 that hold a nonzero
 Both factors are local, so every diagnostic is read off the gauged state;
 only ``evolve`` maps back.  The Hermiticity and trace checks, both partial
 traces, the purities and the excitation number are read straight off the
-rotated blocks.  Only an eigensolve of the joint state or of its partial
-transpose scatters them into a dense sample.
+rotated blocks.  Only an eigensolve of the partial transpose, or of a joint
+state without band structure, scatters them into a dense sample.
 
 The rotations mix only states of equal excitation number, and the one pair
 that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
@@ -23,8 +23,12 @@ that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
 entries with N_i - N_j = n - m, so for every Bloch atom on a diagonal field it
 is real and tridiagonal at every time, and its spectrum is solved with LAPACK's
 O(F^2) ``dsterf`` instead of the O(F^3) dense ``eigvalsh``; the eigenvalues are
-bit-identical (see ``states.tridiagonal_eigvalsh``).  The joint and
-partial-transpose spectra stay dense.
+bit-identical (see ``states.tridiagonal_eigvalsh``).  In excitation-number
+order the joint state of such a state is a real band matrix of half-bandwidth
+3, so under full verification its spectrum is solved with LAPACK's ``dsbev``,
+from lower band storage filled straight from the rotated blocks; this moves
+the joint entropy by rounding only (see ``states.banded_eigvalsh``).  The
+partial-transpose spectrum stays dense.
 
 Basis order is atom-major: all excited-sector Fock levels, then all
 ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
@@ -44,8 +48,8 @@ from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
 from .entropy import entropy_from_spectrum
 from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
-                     FieldDistribution, FloatArray, eigvalsh, ladder, tridiagonal_eigvalsh,
-                     tridiagonal_solver, validate_density)
+                     FieldDistribution, FloatArray, banded_eigvalsh, eigvalsh, ladder,
+                     lapack_solver, tridiagonal_eigvalsh, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -54,6 +58,8 @@ CHUNK_BYTES = 2 << 20
 # dense complex joint matrices.  tracemalloc at D = 30, 96 and 228 measured up to 2.7
 # blocks real and 5.5 complex with an eigensolve, 0.15 real without one at D = 96.
 _BLOCKS_LIVE, _MATRICES_LIVE = 6, 8
+# Half-bandwidth of the joint state in excitation-number order (see _band_map).
+_JOINT_KD = 3
 
 
 def _field_phases(f_dim: int) -> np.ndarray:
@@ -93,18 +99,23 @@ def arithmetic(rho0: DensityMatrix) -> str:
     return "real" if _gauged(rho0)[0].dtype == np.float64 else "complex"
 
 
-def _field_tridiagonal(sigma0: np.ndarray) -> bool:
-    """Whether the reduced field stays real and tridiagonal along the trajectory of the
-    gauged state ``sigma0``: it is real, and its entries |N_i - N_j| >= 2 apart are 0."""
+def _excitation_banded(sigma0: np.ndarray) -> bool:
+    """Whether the gauged state ``sigma0`` is real and its entries |N_i - N_j| >= 2 apart
+    are 0.  Then, along its trajectory, the reduced field is real and tridiagonal, and
+    the joint state, in excitation-number order, a real band of half-bandwidth 3."""
     if sigma0.dtype != np.float64:
         return False
     quanta = _excitation_weights(sigma0.shape[0] // 2)
     return not sigma0[np.abs(np.subtract.outer(quanta, quanta)) >= 2].any()
 
 
-def field_solver(rho0: DensityMatrix) -> str:
-    """"dsterf" or "eigvalsh": the solver of the reduced field spectra of ``rho0``."""
-    return tridiagonal_solver() if _field_tridiagonal(_gauged(rho0)[0]) else "eigvalsh"
+def solvers(rho0: DensityMatrix) -> dict[str, str]:
+    """The eigensolvers of the trajectory of ``rho0``: ``field_solver`` ("dsterf" or
+    "eigvalsh") of the reduced field spectra, and ``joint_solver`` ("dsbev" or
+    "eigvalsh") of the joint spectra under full verification."""
+    banded = _excitation_banded(_gauged(rho0)[0])
+    return {"field_solver": lapack_solver("dsterf") if banded else "eigvalsh",
+            "joint_solver": lapack_solver("dsbev") if banded else "eigvalsh"}
 
 
 class _Blocks(NamedTuple):
@@ -135,6 +146,33 @@ def _pair_blocks(sigma0: np.ndarray) -> _Blocks:
                    upper, index[l[upper], k[upper]])
 
 
+def _band_map(blocks: _Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Where the lower band of the joint state takes the entries of the rotated blocks.
+
+    In excitation-number order, |g,0>; |e,0>, |g,1>; ...; |e,F-1>, the states
+    with N quanta sit at 2N - 1 and 2N, so entries at most one quantum apart lie
+    at most 3 positions apart.  Returns flat indices into one sample's
+    ``(D, 4)`` lower band storage and into its ``(n_blocks, 2, 2)`` blocks.
+    Entries above the diagonal are left out, and so are those below the band,
+    in blocks through the pair (|e,F-1>, |g,0>): they are 0 on an
+    excitation-banded state.
+    """
+    n = np.arange(blocks.f_dim)
+    position = np.r_[2 * n + 1, 2 * n]  # of |e,n> and of |g,n>
+    row, col = np.broadcast_arrays(position[blocks.rows], position[blocks.cols])
+    offset = row - col
+    kept = (offset >= 0) & (offset <= _JOINT_KD)
+    return col[kept] * (_JOINT_KD + 1) + offset[kept], np.flatnonzero(kept)
+
+
+def _band(x_t: np.ndarray, band_map: tuple[np.ndarray, np.ndarray], dim: int) -> np.ndarray:
+    """The lower band storage ``(n, D, 4)`` of the samples whose rotated blocks are ``x_t``."""
+    n = x_t.shape[0]
+    band = np.zeros((n, dim, _JOINT_KD + 1))
+    band.reshape(n, -1)[:, band_map[0]] = x_t.reshape(n, -1)[:, band_map[1]]
+    return band
+
+
 def _rotate(blocks: _Blocks, times: FloatArray) -> np.ndarray:
     """R_k X_kl R_l^T for every occupied block at every time, shape (T, n_blocks, 2, 2)."""
     k, l, x = blocks.k, blocks.l, blocks.x
@@ -159,6 +197,14 @@ def _hermiticity_residual(blocks: _Blocks, x_t: np.ndarray) -> float:
     u, p = blocks.upper, blocks.partner
     return max(float(np.abs(x_t[:, u, i, j] - x_t[:, p, j, i].conj()).max())
                for i in (0, 1) for j in (0, 1))
+
+
+def _joint_entropy(w_joint: FloatArray) -> FloatArray:
+    """Entropy of each joint spectrum in ``w_joint``, once all pass the positivity check."""
+    low = float(w_joint[:, 0].min())
+    if low < PSD_FLOOR:
+        raise NotPositive(low, PSD_FLOOR)
+    return entropy_from_spectrum(w_joint)
 
 
 def _basis_sum(a: np.ndarray) -> np.ndarray:
@@ -298,8 +344,12 @@ def trajectory_data(
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
-    field_eigvalsh = tridiagonal_eigvalsh if _field_tridiagonal(sigma0) else eigvalsh
+    banded = _excitation_banded(sigma0)
+    field_eigvalsh = tridiagonal_eigvalsh if banded else eigvalsh
     blocks = _pair_blocks(sigma0)
+    band_map = None
+    if full_verification and banded and lapack_solver("dsbev") == "dsbev":
+        band_map = _band_map(blocks)
     # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block
     k, l = blocks.k, blocks.l
     k_up, l_up = (k + 1) % d_f, (l + 1) % d_f
@@ -307,7 +357,7 @@ def trajectory_data(
     coherent = np.flatnonzero(l == (k - 1) % d_f)  # entry (0, 1) is <e,k| rho |g,k>
     chunk = _chunk_samples(sigma0.shape[0], sigma0.dtype)
     dense = None
-    if ppt or full_verification:  # the eigensolves need the dense samples
+    if ppt or (full_verification and band_map is None):  # dense eigensolves
         dense = np.zeros((min(chunk, grid.size),) + sigma0.shape, sigma0.dtype)
     parts = []
 
@@ -330,12 +380,9 @@ def trajectory_data(
         if dense is not None:
             rho_t = dense[:n]
             rho_t[:, blocks.rows, blocks.cols] = x_t
-        if full_verification:
-            w_joint = eigvalsh(rho_t)
-            low = float(w_joint[:, 0].min())
-            if low < PSD_FLOOR:
-                raise NotPositive(low, PSD_FLOOR)
-            s_joint = entropy_from_spectrum(w_joint)
+        if full_verification:  # the spectra are freed before the PT solve
+            s_joint = _joint_entropy(eigvalsh(rho_t) if band_map is None
+                                     else banded_eigvalsh(_band(x_t, band_map, sigma0.shape[0])))
         else:
             s_joint = np.full(n, s_joint_initial)
 

@@ -43,9 +43,13 @@ PSD_FLOOR = -1e-10
 REAL_GAUGE_ROUNDING = 4 * np.finfo(float).eps
 # Change of the field entropy per extra Fock level below which auto_truncate stops.
 TRUNCATION_TOL = 1e-14
-# LAPACK's dsterf in the ILP64 OpenBLAS that numpy's wheels bundle, then in a plain
-# ILP64 build; both take 64-bit integers.
-_DSTERF_SYMBOLS = ("scipy_dsterf_64_", "dsterf_64_")
+# LAPACK routines called directly, each with its argument types: pointers, then gfortran's
+# hidden lengths of the CHARACTER arguments.  Every integer argument is an int64 (ILP64).
+_LAPACK_ARGTYPES = {
+    "dsterf": [ctypes.c_void_p] * 4,  # &n, d, e, &info
+    # jobz, uplo, &n, &kd, ab, &ldab, w, z, &ldz, work, &info, len(jobz), len(uplo)
+    "dsbev": [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2,
+}
 
 
 def as_complex_matrix(a) -> ComplexMatrix:
@@ -77,25 +81,27 @@ def eigvalsh(h) -> FloatArray:
 
 
 @functools.cache
-def _dsterf():
-    """``dsterf`` from the LAPACK that numpy's own ``eigvalsh`` calls, or None.
+def _lapack(name: str):
+    """LAPACK routine ``name`` from the LAPACK that numpy's own ``eigvalsh`` calls, or None.
 
-    Looked up on first use, so importing the package does not load it.
+    Looked up, on first use, in the ILP64 OpenBLAS that numpy's wheels bundle,
+    then in a plain ILP64 build, so importing the package does not load it.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        sterf = next(getattr(lib, name) for name in _DSTERF_SYMBOLS if hasattr(lib, name))
+        routine = next(getattr(lib, symbol) for symbol in (f"scipy_{name}_64_", f"{name}_64_")
+                       if hasattr(lib, symbol))
     except (OSError, AttributeError, ImportError, StopIteration):
         return None
-    sterf.argtypes = [ctypes.c_void_p] * 4  # &n, d, e, &info, with n and info int64
-    sterf.restype = None
-    return sterf
+    routine.argtypes = _LAPACK_ARGTYPES[name]
+    routine.restype = None
+    return routine
 
 
-def tridiagonal_solver() -> str:
-    """"dsterf", or "eigvalsh" where numpy's LAPACK has none: what
-    :func:`tridiagonal_eigvalsh` runs."""
-    return "eigvalsh" if _dsterf() is None else "dsterf"
+def lapack_solver(name: str) -> str:
+    """``name``, or "eigvalsh" where numpy's LAPACK has no such routine: what the
+    solver built on ``name`` runs."""
+    return "eigvalsh" if _lapack(name) is None else name
 
 
 def tridiagonal_eigvalsh(stack) -> FloatArray:
@@ -110,7 +116,7 @@ def tridiagonal_eigvalsh(stack) -> FloatArray:
     rescale).  Where numpy's LAPACK has no ``dsterf`` this is :func:`eigvalsh`.
     Raises :class:`NoConvergence` if the solver fails.
     """
-    sterf = _dsterf()
+    sterf = _lapack("dsterf")
     if sterf is None:
         return eigvalsh(stack)
     stack = np.asarray(stack, dtype=np.float64)
@@ -127,6 +133,44 @@ def tridiagonal_eigvalsh(stack) -> FloatArray:
         if info[0]:
             raise NoConvergence(f"dsterf: {info[0]} off-diagonal entries did not converge")
     return d
+
+
+def banded_eigvalsh(band) -> FloatArray:
+    """Ascending eigenvalues of a stack of real symmetric band matrices in lower band storage.
+
+    ``band`` has shape ``(n, D, kd + 1)`` with ``band[s, j, i - j] = A_s[i, j]``
+    for ``j <= i <= j + kd``, LAPACK's layout; entries past the last row are
+    not read.  LAPACK's ``dsbev`` reduces each matrix to tridiagonal form with
+    ``dsbtrd`` in O(D^2 kd) and then calls ``dsterf``.  Where numpy's LAPACK has
+    no ``dsbev`` the dense matrices go to :func:`eigvalsh`.  Raises
+    :class:`NoConvergence` if the solver fails.
+    """
+    band = np.array(band, dtype=np.float64, order="C")  # a copy, which dsbev overwrites
+    if band.ndim != 3 or band.shape[2] < 1:
+        raise DimensionMismatch(f"expected an (n, D, kd + 1) band stack, got shape {band.shape}")
+    count, dim, width = band.shape
+    sbev = _lapack("dsbev")
+    if sbev is None:
+        dense = np.zeros((count, dim, dim))
+        for offset in range(min(width, dim)):
+            i = np.arange(dim - offset)
+            dense[:, i + offset, i] = dense[:, i, i + offset] = band[:, : dim - offset, offset]
+        return eigvalsh(dense)
+    w = np.empty((count, dim))
+    work = np.empty(max(1, 3 * dim - 2))
+    ints = np.array([dim, width - 1, width, 1, 0], np.int64)  # n, kd, ldab, ldz, info
+    n_at, kd_at, ldab_at, ldz_at, info_at = (ints.ctypes.data + 8 * i for i in range(5))
+    chars = np.frombuffer(b"NL", np.uint8)  # jobz: eigenvalues only; uplo: lower band
+    jobz_at, uplo_at = chars.ctypes.data, chars.ctypes.data + 1
+    band_at, w_at, work_at = band.ctypes.data, w.ctypes.data, work.ctypes.data
+    band_step, w_step = band.strides[0], w.strides[0]
+    for s in range(count):
+        # z is not referenced without eigenvectors, so the work array stands in for it
+        sbev(jobz_at, uplo_at, n_at, kd_at, band_at + s * band_step, ldab_at,
+             w_at + s * w_step, work_at, ldz_at, work_at, info_at, 1, 1)
+        if ints[4]:
+            raise NoConvergence(f"dsbev: {ints[4]} off-diagonal entries did not converge")
+    return w
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from jcentropy import BlochParams, bloch_qubit, product_state, thermal_field
+from jcentropy import BlochParams, bloch_qubit, product_state, states, thermal_field
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +49,19 @@ def random_pure_product(rng, f_dim: int):
     return validate_density(np.outer(psi, psi.conj()), (2, f_dim))
 
 
-def failing_sterf(n, d, e, info):
-    """A stand-in for LAPACK's dsterf that reports a failure to converge."""
-    ctypes.c_int64.from_address(info).value = 1
+def lapack_failing_at(name):
+    """A stand-in for ``states._lapack`` whose LAPACK routine ``name`` reports a failure
+    to converge, by a nonzero INFO; every other routine is the real one."""
+    info_arg = {"dsterf": 3, "dsbev": 10}[name]
+    real = states._lapack
+
+    def failing(*args):
+        ctypes.c_int64.from_address(args[info_arg]).value = 1
+
+    return lambda routine: failing if routine == name else real(routine)
+
+
+def lapack_absent(name):
+    """A stand-in for ``states._lapack`` under which numpy's LAPACK lacks ``name``."""
+    real = states._lapack
+    return lambda routine: None if routine == name else real(routine)

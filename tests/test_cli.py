@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jcentropy import cli, dynamics
-from jcentropy.states import tridiagonal_solver
+from jcentropy.states import lapack_solver
 
 
 def run(argv):
@@ -93,7 +93,8 @@ class TestEvolveCommand:
         assert meta["config"]["atom"] == "excited"
         assert meta["workers"] == 1
         assert meta["arithmetic"] == "real"
-        assert meta["field_solver"] == tridiagonal_solver()
+        assert meta["field_solver"] == lapack_solver("dsterf")
+        assert meta["joint_solver"] == lapack_solver("dsbev")
         assert meta["numpy"] == np.__version__
 
     @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
@@ -222,8 +223,18 @@ class TestSweepCommand:
         assert meta["workers"] == 2
         assert meta["rows"] == 2
         assert meta["arithmetic"] == "real"
-        assert meta["field_solver"] == tridiagonal_solver()
+        assert meta["field_solver"] == lapack_solver("dsterf")
+        assert meta["joint_solver"] == lapack_solver("dsbev")
         assert meta["numpy"] == np.__version__
+
+    def test_map_without_ok_cell_exits_numerical(self, tmp_path, capsys):
+        # an eps above every entropy increment skips every step of every cell
+        out = tmp_path / "skipped.csv"
+        assert run(["sweep", "--n-f", "6", "--grid", "2x2", "--t-max", "1.0", "--dt", "0.05",
+                    "--eps", "10", "--diagnostics", "exchange,mutual", "--workers", "1",
+                    "--out", str(out)]) == 3
+        assert "no cell has status ok: 4 exchange_skipped+mutual_skipped" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_diagnostic_is_config_error(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import failing_sterf, random_density, random_pure_product
+from conftest import lapack_absent, lapack_failing_at, random_density, random_pure_product
 from dense_oracle import dense_trajectory, excitation_expectation, propagator_stack, purity
 from jcentropy import (
     BlochParams,
@@ -277,6 +277,8 @@ class TestTrajectory:
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        # without dsbev the joint spectrum is the one solve left to numpy's eigvalsh
+        monkeypatch.setattr(states, "_lapack", lapack_absent("dsbev"))
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5))
@@ -298,11 +300,11 @@ class TestFieldSolver:
     def test_fast_path_equals_fallback(self, n_bar, n_f, ppt, monkeypatch):
         # n_f = 46 puts the field past the crossover to LAPACK's blocked reduction
         joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, 1.3)), thermal_field(n_bar, n_f))
-        assert dynamics.field_solver(joint) == states.tridiagonal_solver()
+        assert dynamics.solvers(joint)["field_solver"] == states.lapack_solver("dsterf")
         grid = np.arange(0.0, 2.0, 0.05)
         fast = trajectory_data(joint, grid, ppt=ppt)
-        monkeypatch.setattr(states, "_dsterf", lambda: None)
-        assert dynamics.field_solver(joint) == "eigvalsh"
+        monkeypatch.setattr(states, "_lapack", lapack_absent("dsterf"))
+        assert dynamics.solvers(joint)["field_solver"] == "eigvalsh"
         dense = trajectory_data(joint, grid, ppt=ppt)
         for name in TrajectoryData.__dataclass_fields__:
             got, want = getattr(fast, name), getattr(dense, name)
@@ -317,12 +319,13 @@ class TestFieldSolver:
         m[:f_dim, f_dim:] = m[f_dim:, :f_dim] = 0.0
         joint = validate_density(m / np.trace(m), (2, f_dim))
         assert dynamics.arithmetic(joint) == "real"
-        assert dynamics.field_solver(joint) == "eigvalsh"
+        assert dynamics.solvers(joint) == {"field_solver": "eigvalsh", "joint_solver": "eigvalsh"}
 
         def unexpected(_):
-            raise AssertionError("tridiagonal solver called on a dense field")
+            raise AssertionError("tridiagonal or band solver called on a non-banded state")
 
         monkeypatch.setattr(dynamics, "tridiagonal_eigvalsh", unexpected)
+        monkeypatch.setattr(dynamics, "banded_eigvalsh", unexpected)
         grid = np.arange(0.0, 3.0, 0.25)
         engine = trajectory_data(joint, grid, ppt=True)
         oracle = dense_trajectory(joint, grid)
@@ -331,10 +334,66 @@ class TestFieldSolver:
 
     def test_sterf_failure_is_no_convergence(self, ground_joint, monkeypatch):
         # the fast path calls no numpy eigvalsh, so it needs its own failure test
-        monkeypatch.setattr(states, "_dsterf", lambda: failing_sterf)
+        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsterf"))
         with pytest.raises(NoConvergence, match="dsterf"):
             trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5),
                             ppt=False, full_verification=False)
+
+
+class TestJointSolver:
+    """Under full verification the joint state of a Bloch atom on a diagonal field is
+    solved as a band matrix, filled straight from the rotated pair blocks."""
+
+    @pytest.mark.parametrize("ppt", [False, True])
+    @pytest.mark.parametrize("n_bar,n_f", [(0.1, 13), (1.0, 46)])
+    @pytest.mark.parametrize("atom", [(1.0, -np.pi / 2, 0.0), (0.7, 0.4, 1.3)])
+    def test_band_path_equals_dense_to_rounding(self, atom, n_bar, n_f, ppt, monkeypatch):
+        joint = product_state(bloch_qubit(BlochParams(*atom)), thermal_field(n_bar, n_f))
+        assert dynamics.solvers(joint)["joint_solver"] == states.lapack_solver("dsbev")
+        grid = np.arange(0.0, 3.0, 0.05)
+        band = trajectory_data(joint, grid, ppt=ppt)
+        monkeypatch.setattr(states, "_lapack", lapack_absent("dsbev"))
+        assert dynamics.solvers(joint)["joint_solver"] == "eigvalsh"
+        dense = trajectory_data(joint, grid, ppt=ppt)
+        for name in TrajectoryData.__dataclass_fields__:
+            got, want = getattr(band, name), getattr(dense, name)
+            if name == "s_joint":
+                assert np.abs(got - want).max() <= 1e-14
+            else:
+                assert (got is None and want is None) or np.array_equal(got, want), name
+
+    def test_band_map_fills_the_band_of_the_dense_sample(self):
+        # a real state whose entries two and more quanta apart are 0, as in every spot cell
+        f_dim = 7
+        joint = product_state(bloch_qubit(BlochParams(0.8, -0.3)), thermal_field(0.5, f_dim - 2))
+        sigma0, _ = dynamics._gauged(joint)
+        assert dynamics._excitation_banded(sigma0)
+        blocks = dynamics._pair_blocks(sigma0)
+        x = dynamics._rotate(blocks, np.array([1.7]))[0]
+        band = dynamics._band(x[None], dynamics._band_map(blocks), 2 * f_dim)[0]
+        dense = np.zeros_like(sigma0)
+        dense[blocks.rows, blocks.cols] = x
+        n = np.arange(f_dim)
+        order = np.stack([f_dim + n, n], axis=1).ravel()  # |g,0>, |e,0>, |g,1>, |e,1>, ...
+        in_n_order = dense[np.ix_(order, order)]
+        assert np.abs(np.triu(in_n_order, 4)).max() == 0.0
+        want = np.zeros((2 * f_dim, 4))
+        for offset in range(4):
+            want[: 2 * f_dim - offset, offset] = np.diagonal(in_n_order, -offset)
+        assert np.array_equal(band, want)
+
+    def test_spot_cell_builds_no_dense_sample(self):
+        # full verification without PT, at D = 96 as in sweep-hot's spot cells
+        joint = product_state(bloch_qubit(BlochParams(0.7, 0.4)), thermal_field(1.0, 46))
+        peak = TestMemoryPreflight.measured_peak(joint, np.arange(0.0, 25.005, 0.01),
+                                                 ppt=False, full_verification=True)
+        assert peak < dynamics.CHUNK_BYTES
+
+    def test_sbev_failure_is_no_convergence(self, ground_joint, monkeypatch):
+        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsbev"))
+        with pytest.raises(NoConvergence, match="dsbev"):
+            trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5),
+                            ppt=False, full_verification=True)
 
 
 class TestBlockChecks:

@@ -27,7 +27,8 @@ from jcentropy import (
     validate_density,
 )
 from jcentropy import states
-from jcentropy.states import tridiagonal_eigvalsh, tridiagonal_solver, truncation_floor
+from jcentropy.states import (banded_eigvalsh, lapack_solver, tridiagonal_eigvalsh,
+                              truncation_floor)
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -333,8 +334,8 @@ def test_eigenvalues_real_ascending_and_sum_to_trace(h):
 
 # 0, a few repeated values, or magnitudes of at least 1e-100: dsyevd rescales a matrix
 # whose largest entry is below about 1e-146 before it reduces it, which dsterf does not
-tridiagonal_entries = (st.sampled_from([0.0, 1.0, -0.5])
-                       | st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0))
+solver_entries = (st.sampled_from([0.0, 1.0, -0.5])
+                  | st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0))
 
 
 @st.composite
@@ -342,8 +343,8 @@ def tridiagonal_stacks(draw):
     """Real symmetric tridiagonal (n, F, F) stacks, F on both sides of LAPACK's
     crossover to a blocked reduction at 32."""
     f_dim, n = draw(st.integers(1, 80)), draw(st.integers(1, 3))
-    d = draw(hnp.arrays(np.float64, (n, f_dim), elements=tridiagonal_entries))
-    e = draw(hnp.arrays(np.float64, (n, f_dim - 1), elements=tridiagonal_entries))
+    d = draw(hnp.arrays(np.float64, (n, f_dim), elements=solver_entries))
+    e = draw(hnp.arrays(np.float64, (n, f_dim - 1), elements=solver_entries))
     i = np.arange(f_dim)
     stack = np.zeros((n, f_dim, f_dim))
     stack[:, i, i] = d
@@ -351,15 +352,52 @@ def tridiagonal_stacks(draw):
     return stack
 
 
+def lapack_handle(handle):
+    """The LAPACK routines as found, or forced absent."""
+    if handle == "found":
+        return contextlib.nullcontext()
+    return mock.patch.object(states, "_lapack", lambda name: None)
+
+
 @pytest.mark.parametrize("handle", ["found", "absent"])
 @settings(max_examples=50, deadline=None)
 @given(tridiagonal_stacks())
 @example(np.diag(np.r_[np.ones(24), np.full(24, 0.5)])[None])  # repeated, past the crossover
 def test_tridiagonal_eigvalsh_equals_eigvalsh(handle, stack):
-    absent = mock.patch.object(states, "_dsterf", lambda: None)
-    with absent if handle == "absent" else contextlib.nullcontext():
+    with lapack_handle(handle):
         w = tridiagonal_eigvalsh(stack)
     assert np.array_equal(w, np.linalg.eigvalsh(stack))
+
+
+@st.composite
+def band_stacks(draw):
+    """Real symmetric band matrices of half-bandwidth 0 to 3 in lower band storage,
+    (n, D, kd + 1); the entries past the last row are drawn too, and must not be read."""
+    dim, kd, n = draw(st.integers(1, 100)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return draw(hnp.arrays(np.float64, (n, dim, kd + 1), elements=solver_entries))
+
+
+def dense_of(band):
+    """The (n, D, D) symmetric matrices whose lower band storage is ``band``."""
+    dim = band.shape[1]
+    dense = np.zeros((band.shape[0], dim, dim))
+    for offset in range(min(band.shape[2], dim)):
+        i = np.arange(dim - offset)
+        dense[:, i + offset, i] = dense[:, i, i + offset] = band[:, : dim - offset, offset]
+    return dense
+
+
+@pytest.mark.parametrize("handle", ["found", "absent"])
+@settings(max_examples=50, deadline=None)
+@given(band_stacks())
+# 48 copies of [[1, 0.5], [0.5, 1]]: eigenvalues 0.5 and 1.5, each 48 times
+@example(np.stack([np.ones(96), np.tile([0.5, 0.0], 48), np.zeros(96), np.zeros(96)], 1)[None])
+def test_banded_eigvalsh_matches_eigvalsh(handle, band):
+    with lapack_handle(handle):
+        w = banded_eigvalsh(band)
+    dense = dense_of(band)
+    norm = np.linalg.norm(dense, 2, axis=(1, 2))
+    assert np.all(np.abs(w - np.linalg.eigvalsh(dense)).max(axis=1) <= 1e-13 * norm)
 
 
 def test_dsterf_found_in_bundled_openblas():
@@ -367,5 +405,6 @@ def test_dsterf_found_in_bundled_openblas():
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack}, not its bundled OpenBLAS")
-    assert states._dsterf() is not None
-    assert tridiagonal_solver() == "dsterf"
+    for name in ("dsterf", "dsbev"):
+        assert states._lapack(name) is not None
+        assert lapack_solver(name) == name

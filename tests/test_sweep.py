@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import failing_sterf
+from conftest import lapack_failing_at
 from jcentropy import (
     InsufficientMemory,
     InvalidParameter,
@@ -146,9 +146,16 @@ class TestRunSweep:
         assert {c.status for c in cells} == {"error:NoConvergence"}
 
     def test_sterf_failure_is_cell_error(self, monkeypatch):
-        monkeypatch.setattr(states, "_dsterf", lambda: failing_sterf)
+        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsterf"))
         cells = run_sweep(small_grid(), ("exchange",), workers=1)
         assert {c.status for c in cells} == {"error:NoConvergence"}
+
+    def test_sbev_failure_is_spot_cell_error(self, monkeypatch):
+        # only the spot-checked cell 0 solves the joint spectrum
+        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsbev"))
+        cells = run_sweep(small_grid(), ("exchange",), workers=1)
+        assert cells[0].status == "error:NoConvergence"
+        assert all(c.status == "ok" for c in cells[1:])
 
     def test_rejects_bad_workers(self):
         with pytest.raises(InvalidParameter):
