@@ -23,6 +23,7 @@ import collections
 import functools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .states import (
     DensityMatrix,
     auto_truncate,
     bloch_qubit,
+    eigvalsh,
     partial_trace,
     product_state,
     thermal_field,
@@ -64,6 +66,10 @@ _FLOAT = "{:.17g}"
 _fmt = _FLOAT.format
 EVOLVE_ROW = ",".join([_FLOAT] * 11 + ["{}"])
 SWEEP_ROW = ",".join([_FLOAT] * 5 + ["{}", "{}"])
+# Bytes per evolve row while the CSV is built (tracemalloc: 1065 at 219 characters a row):
+# per value a Python float (32), a float64 (8) and 25 characters in the row and the file,
+# and a str header per row.
+_EVOLVE_ROW_BYTES = len(EVOLVE_HEADER.split(",")) * (32 + 8 + 2 * 25) + 49
 
 
 class ConfigError(Exception):
@@ -77,8 +83,8 @@ class RunConfig:
     atom: str = "ground"
     t_max: float = 25.0
     dt: float = 0.01
-    eps: float = 1e-9
-    artifact_threshold: float = 1e-12
+    eps: float = entropy.DEFAULT_EPS
+    artifact_threshold: float = entanglement.ARTIFACT_THRESHOLD
     diagnostics: tuple[str, ...] = ("exchange", "mutual", "ppt")
     grid: tuple[int, int] = (51, 51)
     workers: int | None = None
@@ -93,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"dt: {self.dt} must be positive")
         if self.t_max < self.dt:
             raise ConfigError(f"t-max: {self.t_max} must be >= dt")
+        if not math.isfinite(self.t_max / self.dt):
+            raise ConfigError(f"dt: {self.dt} gives more samples than a float can count")
         for name in ("eps", "artifact_threshold"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name.replace('_', '-')}: must be positive")
@@ -111,6 +119,10 @@ class RunConfig:
         # the scan is quadratic in n_f: refuse on its closed-form floor before running it
         dynamics.require_memory(truncation_floor(self.n_bar) + 2, float)
         return auto_truncate(self.n_bar)
+
+    def samples(self) -> int:
+        """The length of :meth:`time_grid`, counted as ``np.arange`` does, without it."""
+        return math.ceil((self.t_max + self.dt / 2) / self.dt)
 
     def time_grid(self) -> np.ndarray:
         return np.arange(0.0, self.t_max + self.dt / 2, self.dt)
@@ -155,7 +167,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"config: line {lineno} is not 'key = value'")
                 key, _, value = line.partition("=")
                 entries[key.strip().replace("_", "-")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return entries
 
@@ -218,12 +230,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {path}: {exc}") from exc
+
+
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
                    tail_mass: float, start: float, workers: int, joint: DensityMatrix) -> None:
     """The CSV, then the sidecar holding what can vary between runs; ``joint`` is an
-    initial state of the run, which stands for all of them in the solver fields."""
-    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    initial state of the run, which stands for all of them in the solver field."""
+    _write(cfg.out, "\n".join(lines) + "\n")
     meta = {
         "config": {
             field: getattr(cfg, field)
@@ -236,12 +255,10 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "workers": workers,
         "rows": len(lines) - 1,
         "arithmetic": dynamics.arithmetic(joint),
-        **dynamics.solvers(joint),
+        "band_solver": dynamics.band_solver(joint),
         "numpy": np.__version__,
     }
-    with open(cfg.out + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(cfg.out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -250,7 +267,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     field = thermal_field(cfg.n_bar, n_f)
     atom = bloch_qubit(_parse_atom(cfg.atom))
     # every Bloch atom on a diagonal field evolves in real arithmetic
-    dynamics.require_memory(field.dim, float)
+    samples = cfg.samples()
+    dynamics.require_memory(field.dim, float, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
     joint = product_state(atom, field)
     data = dynamics.trajectory_data(joint, cfg.time_grid(), ppt=True,
                                     artifact_threshold=cfg.artifact_threshold)
@@ -269,8 +287,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
-    grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     workers = cfg.workers or 1
+    # run_sweep checks this too, once the time grid it is given exists
+    dynamics.require_memory(field.dim, float, min(workers, math.prod(cfg.grid)), cfg.samples())
+    grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
                                 artifact_threshold=cfg.artifact_threshold, workers=workers)
     statuses = collections.Counter(c.status for c in cells)
@@ -378,7 +398,7 @@ def _check_ppt_trace() -> float:
     field = thermal_field(0.1, 13)
     atom = bloch_qubit(BlochParams(0.7, 0.4, 0.0))
     joint = dynamics.evolve(product_state(atom, field), 2.2)
-    w = np.linalg.eigvalsh(entanglement.partial_transpose(joint.mat, joint.dims))
+    w = eigvalsh(entanglement.partial_transpose(joint.mat, joint.dims))
     return float(abs(w.sum() - 1.0))
 
 
@@ -482,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _build_config(args)
         if cfg.out is None:
             raise ConfigError(f"out: required for {args.command}")
+        if not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise ConfigError(f"out: the directory of {cfg.out} does not exist")
         if args.command == "evolve":
             return cmd_evolve(cfg)
         if args.command == "sweep":

@@ -19,16 +19,15 @@ state without band structure, scatters them into a dense sample.
 
 The rotations mix only states of equal excitation number, and the one pair
 that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
-|N_i - N_j| >= 2 that is 0 stays exactly 0.  The reduced field collects only
-entries with N_i - N_j = n - m, so for every Bloch atom on a diagonal field it
-is real and tridiagonal at every time, and its spectrum is solved with LAPACK's
-O(F^2) ``dsterf`` instead of the O(F^3) dense ``eigvalsh``; the eigenvalues are
-bit-identical (see ``states.tridiagonal_eigvalsh``).  In excitation-number
-order the joint state of such a state is a real band matrix of half-bandwidth
-3, so under full verification its spectrum is solved with LAPACK's ``dsbev``,
-from lower band storage filled straight from the rotated blocks; this moves
-the joint entropy by rounding only (see ``states.banded_eigvalsh``).  The
-partial-transpose spectrum stays dense.
+|N_i - N_j| >= 2 that is 0 stays exactly 0.  So for every Bloch atom on a
+diagonal field both spectra are those of real band matrices, and one band
+solver, ``states.banded_eigvalsh`` (LAPACK's ``dsbev``), takes them.  The
+reduced field collects only entries with N_i - N_j = n - m, so it is
+tridiagonal (half-bandwidth 1), and its eigenvalues are bit-identical to the
+dense ``eigvalsh``'s at O(F^2) instead of O(F^3).  In excitation-number order
+the joint state has half-bandwidth 3; under full verification its lower band
+is filled straight from the rotated blocks, which moves the joint entropy by
+rounding only.  The partial-transpose spectrum stays dense.
 
 Basis order is atom-major: all excited-sector Fock levels, then all
 ground-sector levels.  The top excited level |e, n_f+1> has no partner on the
@@ -49,7 +48,7 @@ from .entropy import entropy_from_spectrum
 from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
                      FieldDistribution, FloatArray, banded_eigvalsh, eigvalsh, ladder,
-                     lapack_solver, tridiagonal_eigvalsh, validate_density)
+                     lapack_solver, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -109,13 +108,10 @@ def _excitation_banded(sigma0: np.ndarray) -> bool:
     return not sigma0[np.abs(np.subtract.outer(quanta, quanta)) >= 2].any()
 
 
-def solvers(rho0: DensityMatrix) -> dict[str, str]:
-    """The eigensolvers of the trajectory of ``rho0``: ``field_solver`` ("dsterf" or
-    "eigvalsh") of the reduced field spectra, and ``joint_solver`` ("dsbev" or
-    "eigvalsh") of the joint spectra under full verification."""
-    banded = _excitation_banded(_gauged(rho0)[0])
-    return {"field_solver": lapack_solver("dsterf") if banded else "eigvalsh",
-            "joint_solver": lapack_solver("dsbev") if banded else "eigvalsh"}
+def band_solver(rho0: DensityMatrix) -> str:
+    """The eigensolver ("dsbev" or "eigvalsh") of the reduced field spectra of the
+    trajectory of ``rho0``, and of its joint spectra under full verification."""
+    return lapack_solver() if _excitation_banded(_gauged(rho0)[0]) else "eigvalsh"
 
 
 class _Blocks(NamedTuple):
@@ -173,6 +169,15 @@ def _band(x_t: np.ndarray, band_map: tuple[np.ndarray, np.ndarray], dim: int) ->
     return band
 
 
+def _tridiagonal_band(a: np.ndarray) -> np.ndarray:
+    """The lower band storage ``(n, F, 2)`` of the tridiagonal ``(n, F, F)`` stack ``a``:
+    its diagonal and its first subdiagonal."""
+    band = np.zeros(a.shape[:2] + (2,))
+    band[:, :, 0] = a.diagonal(axis1=1, axis2=2)
+    band[:, :-1, 1] = a.diagonal(-1, axis1=1, axis2=2)
+    return band
+
+
 def _rotate(blocks: _Blocks, times: FloatArray) -> np.ndarray:
     """R_k X_kl R_l^T for every occupied block at every time, shape (T, n_blocks, 2, 2)."""
     k, l, x = blocks.k, blocks.l, blocks.x
@@ -217,15 +222,18 @@ def _chunk_samples(dim: int, dtype) -> int:
     return max(1, CHUNK_BYTES // (dim * dim * np.dtype(dtype).itemsize))
 
 
-def peak_bytes(f_dim: int, dtype, workers: int = 1) -> int:
-    """Estimated peak array memory of ``workers`` concurrent trajectories.
+def peak_bytes(f_dim: int, dtype, workers: int = 1, samples: int = 0) -> int:
+    """Estimated peak array memory of ``workers`` concurrent trajectories of ``samples``
+    time samples each.
 
     ``dtype`` is that of the gauged state: float64 for any Bloch atom on a
-    diagonal field, complex128 for most entangled states.
+    diagonal field, complex128 for most entangled states.  Each output column
+    is held twice per sample, in its blocks and joined.
     """
     dim = 2 * f_dim
     block = _chunk_samples(dim, dtype) * dim * dim * np.dtype(dtype).itemsize
-    return workers * (_BLOCKS_LIVE * block + _MATRICES_LIVE * dim * dim * 16)
+    columns = samples * 2 * 8 * len(fields(TrajectoryData))
+    return workers * (_BLOCKS_LIVE * block + _MATRICES_LIVE * dim * dim * 16 + columns)
 
 
 def machine_bytes() -> int:
@@ -233,9 +241,10 @@ def machine_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def require_memory(f_dim: int, dtype, workers: int = 1) -> None:
-    """Raise :class:`InsufficientMemory` before a run that would not fit in memory."""
-    need, have = peak_bytes(f_dim, dtype, workers), machine_bytes()
+def require_memory(f_dim: int, dtype, workers: int = 1, samples: int = 0, extra: int = 0):
+    """Raise :class:`InsufficientMemory` before a run that would not fit in memory: the
+    trajectories of :func:`peak_bytes`, and ``extra`` bytes besides."""
+    need, have = peak_bytes(f_dim, dtype, workers, samples) + extra, machine_bytes()
     if need > have:
         raise InsufficientMemory(need, have)
 
@@ -345,11 +354,8 @@ def trajectory_data(
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
     banded = _excitation_banded(sigma0)
-    field_eigvalsh = tridiagonal_eigvalsh if banded else eigvalsh
     blocks = _pair_blocks(sigma0)
-    band_map = None
-    if full_verification and banded and lapack_solver("dsbev") == "dsbev":
-        band_map = _band_map(blocks)
+    band_map = _band_map(blocks) if full_verification and banded else None
     # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block
     k, l = blocks.k, blocks.l
     k_up, l_up = (k + 1) % d_f, (l + 1) % d_f
@@ -357,7 +363,7 @@ def trajectory_data(
     coherent = np.flatnonzero(l == (k - 1) % d_f)  # entry (0, 1) is <e,k| rho |g,k>
     chunk = _chunk_samples(sigma0.shape[0], sigma0.dtype)
     dense = None
-    if ppt or (full_verification and band_map is None):  # dense eigensolves
+    if ppt or (full_verification and not banded):  # dense eigensolves
         dense = np.zeros((min(chunk, grid.size),) + sigma0.shape, sigma0.dtype)
     parts = []
 
@@ -381,8 +387,8 @@ def trajectory_data(
             rho_t = dense[:n]
             rho_t[:, blocks.rows, blocks.cols] = x_t
         if full_verification:  # the spectra are freed before the PT solve
-            s_joint = _joint_entropy(eigvalsh(rho_t) if band_map is None
-                                     else banded_eigvalsh(_band(x_t, band_map, sigma0.shape[0])))
+            s_joint = _joint_entropy(banded_eigvalsh(_band(x_t, band_map, sigma0.shape[0]))
+                                     if banded else eigvalsh(rho_t))
         else:
             s_joint = np.full(n, s_joint_initial)
 
@@ -403,7 +409,8 @@ def trajectory_data(
         w_atom = np.stack([mean - half_gap, mean + half_gap], axis=1)
         part = {
             "s_atom": entropy_from_spectrum(w_atom),
-            "s_field": entropy_from_spectrum(field_eigvalsh(r_field)),
+            "s_field": entropy_from_spectrum(banded_eigvalsh(_tridiagonal_band(r_field))
+                                             if banded else eigvalsh(r_field)),
             "s_joint": s_joint,
             "purity_atom": a * a + b * b + 2.0 * off * off,
             "purity_field": (np.abs(r_field) ** 2).sum(axis=(1, 2)),

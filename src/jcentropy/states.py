@@ -7,7 +7,8 @@ where the basis is cut.  The atom is a qubit parameterized on the Bloch ball;
 the joint space is atom (x) field with the atom index major, excited sector
 first.  Matrices are dense complex128 of dimension up to a few hundred; the
 finiteness guard, Hermiticity residual and eigensolvers below raise the
-package's typed errors.
+package's typed errors.  Every spectrum goes through ``eigvalsh`` (dense) or
+``banded_eigvalsh`` (real symmetric band stacks).
 """
 
 from __future__ import annotations
@@ -43,13 +44,9 @@ PSD_FLOOR = -1e-10
 REAL_GAUGE_ROUNDING = 4 * np.finfo(float).eps
 # Change of the field entropy per extra Fock level below which auto_truncate stops.
 TRUNCATION_TOL = 1e-14
-# LAPACK routines called directly, each with its argument types: pointers, then gfortran's
-# hidden lengths of the CHARACTER arguments.  Every integer argument is an int64 (ILP64).
-_LAPACK_ARGTYPES = {
-    "dsterf": [ctypes.c_void_p] * 4,  # &n, d, e, &info
-    # jobz, uplo, &n, &kd, ab, &ldab, w, z, &ldz, work, &info, len(jobz), len(uplo)
-    "dsbev": [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2,
-}
+# dsbev's argument types: pointers to jobz, uplo, &n, &kd, ab, &ldab, w, z, &ldz, work and
+# &info (every integer an int64, ILP64), then gfortran's hidden lengths of jobz and uplo.
+_DSBEV_ARGTYPES = [ctypes.c_void_p] * 11 + [ctypes.c_size_t] * 2
 
 
 def as_complex_matrix(a) -> ComplexMatrix:
@@ -81,58 +78,27 @@ def eigvalsh(h) -> FloatArray:
 
 
 @functools.cache
-def _lapack(name: str):
-    """LAPACK routine ``name`` from the LAPACK that numpy's own ``eigvalsh`` calls, or None.
+def _dsbev():
+    """LAPACK's ``dsbev`` from the LAPACK that numpy's own ``eigvalsh`` calls, or None.
 
     Looked up, on first use, in the ILP64 OpenBLAS that numpy's wheels bundle,
     then in a plain ILP64 build, so importing the package does not load it.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        routine = next(getattr(lib, symbol) for symbol in (f"scipy_{name}_64_", f"{name}_64_")
+        routine = next(getattr(lib, symbol) for symbol in ("scipy_dsbev_64_", "dsbev_64_")
                        if hasattr(lib, symbol))
     except (OSError, AttributeError, ImportError, StopIteration):
         return None
-    routine.argtypes = _LAPACK_ARGTYPES[name]
+    routine.argtypes = _DSBEV_ARGTYPES
     routine.restype = None
     return routine
 
 
-def lapack_solver(name: str) -> str:
-    """``name``, or "eigvalsh" where numpy's LAPACK has no such routine: what the
-    solver built on ``name`` runs."""
-    return "eigvalsh" if _lapack(name) is None else name
-
-
-def tridiagonal_eigvalsh(stack) -> FloatArray:
-    """Ascending eigenvalues of an ``(n, F, F)`` stack of real symmetric tridiagonal matrices.
-
-    Only the diagonal and the first subdiagonal are read, the lower triangle
-    that :func:`eigvalsh` reads.  numpy's ``eigvalsh`` runs LAPACK's ``dsyevd``,
-    which reduces the matrix to tridiagonal form with ``dsytrd`` in O(F^3) and
-    then calls ``dsterf``; ``dsytrd`` leaves a tridiagonal matrix unchanged, so
-    calling ``dsterf`` alone, in O(F^2), gives the same eigenvalues (for
-    largest entries between about 1e-146 and 1e146, which ``dsyevd`` does not
-    rescale).  Where numpy's LAPACK has no ``dsterf`` this is :func:`eigvalsh`.
-    Raises :class:`NoConvergence` if the solver fails.
-    """
-    sterf = _lapack("dsterf")
-    if sterf is None:
-        return eigvalsh(stack)
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise DimensionMismatch(f"expected an (n, F, F) stack, got shape {stack.shape}")
-    f_dim = stack.shape[-1]
-    d = stack.diagonal(axis1=1, axis2=2).copy()  # overwritten by the eigenvalues
-    e = stack.diagonal(-1, axis1=1, axis2=2).copy()
-    size, info = np.array([f_dim], np.int64), np.zeros(1, np.int64)
-    size_at, info_at, d_at, e_at = size.ctypes.data, info.ctypes.data, d.ctypes.data, e.ctypes.data
-    d_step, e_step = d.strides[0], e.strides[0]
-    for i in range(d.shape[0]):
-        sterf(size_at, d_at + i * d_step, e_at + i * e_step, info_at)
-        if info[0]:
-            raise NoConvergence(f"dsterf: {info[0]} off-diagonal entries did not converge")
-    return d
+def lapack_solver() -> str:
+    """"dsbev", or "eigvalsh" where numpy's LAPACK has no ``dsbev``: what
+    :func:`banded_eigvalsh` runs."""
+    return "eigvalsh" if _dsbev() is None else "dsbev"
 
 
 def banded_eigvalsh(band) -> FloatArray:
@@ -141,15 +107,19 @@ def banded_eigvalsh(band) -> FloatArray:
     ``band`` has shape ``(n, D, kd + 1)`` with ``band[s, j, i - j] = A_s[i, j]``
     for ``j <= i <= j + kd``, LAPACK's layout; entries past the last row are
     not read.  LAPACK's ``dsbev`` reduces each matrix to tridiagonal form with
-    ``dsbtrd`` in O(D^2 kd) and then calls ``dsterf``.  Where numpy's LAPACK has
-    no ``dsbev`` the dense matrices go to :func:`eigvalsh`.  Raises
-    :class:`NoConvergence` if the solver fails.
+    ``dsbtrd`` in O(D^2 kd) and then calls ``dsterf``.  At kd = 1 ``dsbtrd``
+    only copies the band, and numpy's ``eigvalsh`` (``dsyevd``: ``dsytrd``,
+    which leaves a tridiagonal matrix unchanged, then ``dsterf``) gives
+    bit-identical eigenvalues; both rescale only a matrix whose largest entry
+    lies outside about 1e-146..1e146.  Where numpy's LAPACK has no ``dsbev``
+    the dense matrices go to :func:`eigvalsh`.  Raises :class:`NoConvergence`
+    if the solver fails.
     """
     band = np.array(band, dtype=np.float64, order="C")  # a copy, which dsbev overwrites
     if band.ndim != 3 or band.shape[2] < 1:
         raise DimensionMismatch(f"expected an (n, D, kd + 1) band stack, got shape {band.shape}")
     count, dim, width = band.shape
-    sbev = _lapack("dsbev")
+    sbev = _dsbev()
     if sbev is None:
         dense = np.zeros((count, dim, dim))
         for offset in range(min(width, dim)):

@@ -232,7 +232,7 @@ def run_sweep(
     if workers < 1:
         raise InvalidParameter(f"workers={workers} must be >= 1")
     # cells are phi = 0 atoms on a diagonal field, so every trajectory runs real
-    dynamics.require_memory(grid.n_f + 2, float, min(workers, grid.n_cells))
+    dynamics.require_memory(grid.n_f + 2, float, min(workers, grid.n_cells), grid.t_grid.size)
 
     indices = range(grid.n_cells)
     if workers == 1 or grid.n_cells == 1:

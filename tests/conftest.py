@@ -49,19 +49,20 @@ def random_pure_product(rng, f_dim: int):
     return validate_density(np.outer(psi, psi.conj()), (2, f_dim))
 
 
-def lapack_failing_at(name):
-    """A stand-in for ``states._lapack`` whose LAPACK routine ``name`` reports a failure
-    to converge, by a nonzero INFO; every other routine is the real one."""
-    info_arg = {"dsterf": 3, "dsbev": 10}[name]
-    real = states._lapack
+def dsbev_failing(kd):
+    """A stand-in for ``states._dsbev`` whose routine reports a failure to converge on
+    band matrices of half-bandwidth ``kd`` and solves the others."""
+    real = states._dsbev()
 
-    def failing(*args):
-        ctypes.c_int64.from_address(args[info_arg]).value = 1
+    def routine(*args):
+        if ctypes.c_int64.from_address(args[3]).value == kd:
+            ctypes.c_int64.from_address(args[10]).value = 1  # INFO: entries that did not converge
+        else:
+            real(*args)
 
-    return lambda routine: failing if routine == name else real(routine)
+    return lambda: routine
 
 
-def lapack_absent(name):
-    """A stand-in for ``states._lapack`` under which numpy's LAPACK lacks ``name``."""
-    real = states._lapack
-    return lambda routine: None if routine == name else real(routine)
+def dsbev_absent():
+    """A stand-in for ``states._dsbev`` under which numpy's LAPACK lacks ``dsbev``."""
+    return None

@@ -1,7 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jcentropy import cli, dynamics
 from jcentropy.states import lapack_solver
@@ -93,8 +96,8 @@ class TestEvolveCommand:
         assert meta["config"]["atom"] == "excited"
         assert meta["workers"] == 1
         assert meta["arithmetic"] == "real"
-        assert meta["field_solver"] == lapack_solver("dsterf")
-        assert meta["joint_solver"] == lapack_solver("dsbev")
+        assert meta["band_solver"] == lapack_solver()
+        assert "field_solver" not in meta and "joint_solver" not in meta
         assert meta["numpy"] == np.__version__
 
     @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
@@ -153,8 +156,10 @@ def test_memory_preflight_refuses_before_truncation_scan(command, tmp_path, monk
 
 
 def test_memory_preflight_sizes_phi_atom_real(tmp_path, monkeypatch):
-    # past D = 362 a complex block outgrows a real one; a phi atom evolves real
-    real, cplx = dynamics.peak_bytes(182, float), dynamics.peak_bytes(182, complex)
+    # past D = 362 a complex block outgrows a real one; a phi atom evolves real.  Two
+    # samples, each with its trajectory columns and its CSV row
+    rows = 2 * cli._EVOLVE_ROW_BYTES
+    real, cplx = (dynamics.peak_bytes(182, dtype, samples=2) + rows for dtype in (float, complex))
     assert real < cplx
     monkeypatch.setattr(dynamics, "machine_bytes", lambda: real)
     out = tmp_path / "phi.csv"
@@ -162,6 +167,46 @@ def test_memory_preflight_sizes_phi_atom_real(tmp_path, monkeypatch):
                 "--atom", "r=0.7,theta=0.4,phi=1.3", "--out", str(out)]) == 0
     meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
     assert meta["arithmetic"] == "real"
+
+
+@pytest.mark.parametrize("command", ["evolve", "sweep"])
+@pytest.mark.parametrize("t_max,dt", [("1e13", "1"), ("25", "1e-300")])
+def test_time_grid_too_long_is_refused_before_allocation(command, t_max, dt, tmp_path, capsys):
+    # np.arange would raise a memory or size error; the pre-flight counts the samples first
+    out = tmp_path / f"{command}.csv"
+    start = time.perf_counter()
+    assert run([command, "--t-max", t_max, "--dt", dt, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "estimated peak memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@given(st.floats(1e-3, 10.0), st.floats(1.0, 1e4))
+def test_sample_count_is_time_grid_length(dt, span):
+    cfg = cli.RunConfig(t_max=dt * span, dt=dt)
+    assert cfg.samples() == len(cfg.time_grid())
+
+
+class TestOutputErrors:
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"n-bar = 0.1\n# caf\xe9\n")
+        assert run(["evolve", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config: cannot read" in capsys.readouterr().err
+
+    def test_missing_out_directory_is_refused_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        start = time.perf_counter()
+        assert run(["evolve", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "out: the directory of" in capsys.readouterr().err
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        # a directory passes the pre-run check, and cannot be opened as a file
+        assert run(["evolve", "--n-f", "4", "--t-max", "0.2", "--dt", "0.1",
+                    "--out", str(tmp_path)]) == 2
+        assert "out: cannot write" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -223,8 +268,8 @@ class TestSweepCommand:
         assert meta["workers"] == 2
         assert meta["rows"] == 2
         assert meta["arithmetic"] == "real"
-        assert meta["field_solver"] == lapack_solver("dsterf")
-        assert meta["joint_solver"] == lapack_solver("dsbev")
+        assert meta["band_solver"] == lapack_solver()
+        assert "field_solver" not in meta and "joint_solver" not in meta
         assert meta["numpy"] == np.__version__
 
     def test_map_without_ok_cell_exits_numerical(self, tmp_path, capsys):

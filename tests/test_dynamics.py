@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import lapack_absent, lapack_failing_at, random_density, random_pure_product
+from conftest import dsbev_absent, dsbev_failing, random_density, random_pure_product
 from dense_oracle import dense_trajectory, excitation_expectation, propagator_stack, purity
 from jcentropy import (
     BlochParams,
@@ -277,8 +277,8 @@ class TestTrajectory:
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        # without dsbev the joint spectrum is the one solve left to numpy's eigvalsh
-        monkeypatch.setattr(states, "_lapack", lapack_absent("dsbev"))
+        # without dsbev the band spectra go to numpy's eigvalsh too
+        monkeypatch.setattr(states, "_dsbev", dsbev_absent)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):
             trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5))
@@ -293,19 +293,21 @@ class TestTrajectory:
 
 
 class TestFieldSolver:
-    """The reduced field of a Bloch atom on a diagonal field is solved as a tridiagonal."""
+    """The reduced field of a Bloch atom on a diagonal field is tridiagonal, and is solved
+    by ``dsbev`` at half-bandwidth 1, which iterates as ``dsterf`` does."""
 
     @pytest.mark.parametrize("ppt", [False, True])
     @pytest.mark.parametrize("n_bar,n_f", [(0.1, 13), (1.0, 46)])
     def test_fast_path_equals_fallback(self, n_bar, n_f, ppt, monkeypatch):
-        # n_f = 46 puts the field past the crossover to LAPACK's blocked reduction
+        # without full verification the field is the one band solve; n_f = 46 puts it
+        # past the crossover to LAPACK's blocked dense reduction
         joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, 1.3)), thermal_field(n_bar, n_f))
-        assert dynamics.solvers(joint)["field_solver"] == states.lapack_solver("dsterf")
+        assert dynamics.band_solver(joint) == states.lapack_solver()
         grid = np.arange(0.0, 2.0, 0.05)
-        fast = trajectory_data(joint, grid, ppt=ppt)
-        monkeypatch.setattr(states, "_lapack", lapack_absent("dsterf"))
-        assert dynamics.solvers(joint)["field_solver"] == "eigvalsh"
-        dense = trajectory_data(joint, grid, ppt=ppt)
+        fast = trajectory_data(joint, grid, ppt=ppt, full_verification=False)
+        monkeypatch.setattr(states, "_dsbev", dsbev_absent)
+        assert dynamics.band_solver(joint) == "eigvalsh"
+        dense = trajectory_data(joint, grid, ppt=ppt, full_verification=False)
         for name in TrajectoryData.__dataclass_fields__:
             got, want = getattr(fast, name), getattr(dense, name)
             assert (got is None and want is None) or np.array_equal(got, want), name
@@ -319,12 +321,11 @@ class TestFieldSolver:
         m[:f_dim, f_dim:] = m[f_dim:, :f_dim] = 0.0
         joint = validate_density(m / np.trace(m), (2, f_dim))
         assert dynamics.arithmetic(joint) == "real"
-        assert dynamics.solvers(joint) == {"field_solver": "eigvalsh", "joint_solver": "eigvalsh"}
+        assert dynamics.band_solver(joint) == "eigvalsh"
 
         def unexpected(_):
-            raise AssertionError("tridiagonal or band solver called on a non-banded state")
+            raise AssertionError("band solver called on a non-banded state")
 
-        monkeypatch.setattr(dynamics, "tridiagonal_eigvalsh", unexpected)
         monkeypatch.setattr(dynamics, "banded_eigvalsh", unexpected)
         grid = np.arange(0.0, 3.0, 0.25)
         engine = trajectory_data(joint, grid, ppt=True)
@@ -333,33 +334,35 @@ class TestFieldSolver:
             assert np.abs(getattr(engine, name) - getattr(oracle, name)).max() <= 1e-12, name
 
     def test_sterf_failure_is_no_convergence(self, ground_joint, monkeypatch):
-        # the fast path calls no numpy eigvalsh, so it needs its own failure test
-        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsterf"))
-        with pytest.raises(NoConvergence, match="dsterf"):
+        # the field solve calls no numpy eigvalsh, so it needs its own failure test
+        monkeypatch.setattr(states, "_dsbev", dsbev_failing(kd=1))
+        with pytest.raises(NoConvergence, match="dsbev"):
             trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5),
                             ppt=False, full_verification=False)
 
 
 class TestJointSolver:
-    """Under full verification the joint state of a Bloch atom on a diagonal field is
-    solved as a band matrix, filled straight from the rotated pair blocks."""
+    """For a Bloch atom on a diagonal field the reduced field (half-bandwidth 1) and,
+    under full verification, the joint state (half-bandwidth 3, filled straight from the
+    rotated pair blocks) are solved as band matrices."""
 
     @pytest.mark.parametrize("ppt", [False, True])
     @pytest.mark.parametrize("n_bar,n_f", [(0.1, 13), (1.0, 46)])
     @pytest.mark.parametrize("atom", [(1.0, -np.pi / 2, 0.0), (0.7, 0.4, 1.3)])
     def test_band_path_equals_dense_to_rounding(self, atom, n_bar, n_f, ppt, monkeypatch):
         joint = product_state(bloch_qubit(BlochParams(*atom)), thermal_field(n_bar, n_f))
-        assert dynamics.solvers(joint)["joint_solver"] == states.lapack_solver("dsbev")
+        # n_f = 46 puts the field past LAPACK's crossover to a blocked dense reduction
+        assert dynamics.band_solver(joint) == states.lapack_solver()
         grid = np.arange(0.0, 3.0, 0.05)
         band = trajectory_data(joint, grid, ppt=ppt)
-        monkeypatch.setattr(states, "_lapack", lapack_absent("dsbev"))
-        assert dynamics.solvers(joint)["joint_solver"] == "eigvalsh"
+        monkeypatch.setattr(states, "_dsbev", dsbev_absent)
+        assert dynamics.band_solver(joint) == "eigvalsh"
         dense = trajectory_data(joint, grid, ppt=ppt)
         for name in TrajectoryData.__dataclass_fields__:
             got, want = getattr(band, name), getattr(dense, name)
             if name == "s_joint":
                 assert np.abs(got - want).max() <= 1e-14
-            else:
+            else:  # s_field too: at half-bandwidth 1 dsbev is bit-identical
                 assert (got is None and want is None) or np.array_equal(got, want), name
 
     def test_band_map_fills_the_band_of_the_dense_sample(self):
@@ -390,10 +393,12 @@ class TestJointSolver:
         assert peak < dynamics.CHUNK_BYTES
 
     def test_sbev_failure_is_no_convergence(self, ground_joint, monkeypatch):
-        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsbev"))
+        # only full verification solves the joint band (half-bandwidth 3)
+        monkeypatch.setattr(states, "_dsbev", dsbev_failing(kd=3))
+        grid = np.arange(0.0, 1.0, 0.5)
+        trajectory_data(ground_joint, grid, ppt=False, full_verification=False)
         with pytest.raises(NoConvergence, match="dsbev"):
-            trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5),
-                            ppt=False, full_verification=True)
+            trajectory_data(ground_joint, grid, ppt=False, full_verification=True)
 
 
 class TestBlockChecks:

@@ -27,8 +27,7 @@ from jcentropy import (
     validate_density,
 )
 from jcentropy import states
-from jcentropy.states import (banded_eigvalsh, lapack_solver, tridiagonal_eigvalsh,
-                              truncation_floor)
+from jcentropy.states import banded_eigvalsh, lapack_solver, truncation_floor
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -332,48 +331,24 @@ def test_eigenvalues_real_ascending_and_sum_to_trace(h):
     assert abs(w.sum() - np.trace(h).real) < 1e-10 * h.shape[0]
 
 
-# 0, a few repeated values, or magnitudes of at least 1e-100: dsyevd rescales a matrix
-# whose largest entry is below about 1e-146 before it reduces it, which dsterf does not
+# 0, a few repeated values, or magnitudes of at least 1e-100, far above the largest
+# entries, below about 1e-146, at which LAPACK's drivers rescale a matrix
 solver_entries = (st.sampled_from([0.0, 1.0, -0.5])
                   | st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0))
 
 
-@st.composite
-def tridiagonal_stacks(draw):
-    """Real symmetric tridiagonal (n, F, F) stacks, F on both sides of LAPACK's
-    crossover to a blocked reduction at 32."""
-    f_dim, n = draw(st.integers(1, 80)), draw(st.integers(1, 3))
-    d = draw(hnp.arrays(np.float64, (n, f_dim), elements=solver_entries))
-    e = draw(hnp.arrays(np.float64, (n, f_dim - 1), elements=solver_entries))
-    i = np.arange(f_dim)
-    stack = np.zeros((n, f_dim, f_dim))
-    stack[:, i, i] = d
-    stack[:, i[1:], i[:-1]] = stack[:, i[:-1], i[1:]] = e
-    return stack
-
-
 def lapack_handle(handle):
-    """The LAPACK routines as found, or forced absent."""
+    """LAPACK's dsbev as found, or forced absent."""
     if handle == "found":
         return contextlib.nullcontext()
-    return mock.patch.object(states, "_lapack", lambda name: None)
-
-
-@pytest.mark.parametrize("handle", ["found", "absent"])
-@settings(max_examples=50, deadline=None)
-@given(tridiagonal_stacks())
-@example(np.diag(np.r_[np.ones(24), np.full(24, 0.5)])[None])  # repeated, past the crossover
-def test_tridiagonal_eigvalsh_equals_eigvalsh(handle, stack):
-    with lapack_handle(handle):
-        w = tridiagonal_eigvalsh(stack)
-    assert np.array_equal(w, np.linalg.eigvalsh(stack))
+    return mock.patch.object(states, "_dsbev", lambda: None)
 
 
 @st.composite
-def band_stacks(draw):
-    """Real symmetric band matrices of half-bandwidth 0 to 3 in lower band storage,
+def band_stacks(draw, kd=st.integers(0, 3), max_dim=100):
+    """Real symmetric band matrices of half-bandwidth ``kd`` in lower band storage,
     (n, D, kd + 1); the entries past the last row are drawn too, and must not be read."""
-    dim, kd, n = draw(st.integers(1, 100)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    dim, kd, n = draw(st.integers(1, max_dim)), draw(kd), draw(st.integers(1, 3))
     return draw(hnp.arrays(np.float64, (n, dim, kd + 1), elements=solver_entries))
 
 
@@ -389,6 +364,18 @@ def dense_of(band):
 
 @pytest.mark.parametrize("handle", ["found", "absent"])
 @settings(max_examples=50, deadline=None)
+@given(band_stacks(kd=st.just(1), max_dim=80))
+# repeated eigenvalues, past LAPACK's crossover to a blocked dense reduction at 32
+@example(np.stack([np.r_[np.ones(24), np.full(24, 0.5)], np.zeros(48)], 1)[None])
+def test_tridiagonal_eigvalsh_equals_eigvalsh(handle, band):
+    # the reduced field's solve: at kd = 1 dsbev runs the same dsterf as the dense eigvalsh
+    with lapack_handle(handle):
+        w = banded_eigvalsh(band)
+    assert np.array_equal(w, np.linalg.eigvalsh(dense_of(band)))
+
+
+@pytest.mark.parametrize("handle", ["found", "absent"])
+@settings(max_examples=50, deadline=None)
 @given(band_stacks())
 # 48 copies of [[1, 0.5], [0.5, 1]]: eigenvalues 0.5 and 1.5, each 48 times
 @example(np.stack([np.ones(96), np.tile([0.5, 0.0], 48), np.zeros(96), np.zeros(96)], 1)[None])
@@ -400,11 +387,10 @@ def test_banded_eigvalsh_matches_eigvalsh(handle, band):
     assert np.all(np.abs(w - np.linalg.eigvalsh(dense)).max(axis=1) <= 1e-13 * norm)
 
 
-def test_dsterf_found_in_bundled_openblas():
+def test_dsbev_found_in_bundled_openblas():
     # a symbol renamed in a future numpy fails here rather than falling back unseen
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack}, not its bundled OpenBLAS")
-    for name in ("dsterf", "dsbev"):
-        assert states._lapack(name) is not None
-        assert lapack_solver(name) == name
+    assert states._dsbev() is not None
+    assert lapack_solver() == "dsbev"

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import lapack_failing_at
+from conftest import dsbev_failing
 from jcentropy import (
     InsufficientMemory,
     InvalidParameter,
@@ -146,13 +146,14 @@ class TestRunSweep:
         assert {c.status for c in cells} == {"error:NoConvergence"}
 
     def test_sterf_failure_is_cell_error(self, monkeypatch):
-        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsterf"))
+        # every cell solves its field spectra with dsbev at half-bandwidth 1
+        monkeypatch.setattr(states, "_dsbev", dsbev_failing(kd=1))
         cells = run_sweep(small_grid(), ("exchange",), workers=1)
         assert {c.status for c in cells} == {"error:NoConvergence"}
 
     def test_sbev_failure_is_spot_cell_error(self, monkeypatch):
-        # only the spot-checked cell 0 solves the joint spectrum
-        monkeypatch.setattr(states, "_lapack", lapack_failing_at("dsbev"))
+        # only the spot-checked cell 0 solves the joint band, at half-bandwidth 3
+        monkeypatch.setattr(states, "_dsbev", dsbev_failing(kd=3))
         cells = run_sweep(small_grid(), ("exchange",), workers=1)
         assert cells[0].status == "error:NoConvergence"
         assert all(c.status == "ok" for c in cells[1:])
