@@ -41,10 +41,10 @@ from .errors import (
 )
 from .states import (
     BlochParams,
-    DensityMatrix,
     auto_truncate,
     bloch_qubit,
     eigvalsh,
+    lapack_solver,
     partial_trace,
     product_state,
     thermal_field,
@@ -104,9 +104,9 @@ class RunConfig:
         for name in ("eps", "artifact_threshold"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name.replace('_', '-')}: must be positive")
-        bad = set(self.diagnostics) - sweep_mod.DIAGNOSTICS
-        if bad:
-            raise ConfigError(f"diagnostics: unknown entries {sorted(bad)}")
+        if not self.diagnostics or set(self.diagnostics) - sweep_mod.DIAGNOSTICS:
+            raise ConfigError(f"diagnostics: {list(self.diagnostics)} is not one or more of "
+                              f"{sorted(sweep_mod.DIAGNOSTICS)}")
         if self.grid[0] < 1 or self.grid[1] < 1:
             raise ConfigError(f"grid: {self.grid} must be at least 1x1")
         if self.workers is not None and self.workers < 1:
@@ -117,15 +117,14 @@ class RunConfig:
         if self.n_f != "auto":
             return int(self.n_f)
         # the scan is quadratic in n_f: refuse on its closed-form floor before running it
-        dynamics.require_memory(truncation_floor(self.n_bar) + 2, float)
+        dynamics.require_memory(truncation_floor(self.n_bar) + 2)
         return auto_truncate(self.n_bar)
 
     def samples(self) -> int:
-        """The length of :meth:`time_grid`, counted as ``np.arange`` does, without it."""
-        return math.ceil((self.t_max + self.dt / 2) / self.dt)
+        return dynamics.sample_count(self.t_max, self.dt)
 
     def time_grid(self) -> np.ndarray:
-        return np.arange(0.0, self.t_max + self.dt / 2, self.dt)
+        return dynamics.time_grid(self.t_max, self.dt)
 
 
 def _parse_atom(text: str) -> BlochParams:
@@ -239,9 +238,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
-                   tail_mass: float, start: float, workers: int, joint: DensityMatrix) -> None:
-    """The CSV, then the sidecar holding what can vary between runs; ``joint`` is an
-    initial state of the run, which stands for all of them in the solver field."""
+                   tail_mass: float, start: float, workers: int) -> None:
+    """The CSV, then the sidecar holding what can vary between runs."""
     _write(cfg.out, "\n".join(lines) + "\n")
     meta = {
         "config": {
@@ -254,8 +252,8 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "wall_time_s": time.monotonic() - start,
         "workers": workers,
         "rows": len(lines) - 1,
-        "arithmetic": dynamics.arithmetic(joint),
-        "band_solver": dynamics.band_solver(joint),
+        # every run evolves Bloch atoms on a diagonal field: excitation-banded states
+        "band_solver": lapack_solver(),
         "numpy": np.__version__,
     }
     _write(cfg.out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -266,9 +264,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
     atom = bloch_qubit(_parse_atom(cfg.atom))
-    # every Bloch atom on a diagonal field evolves in real arithmetic
     samples = cfg.samples()
-    dynamics.require_memory(field.dim, float, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
+    dynamics.require_memory(field.dim, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
     joint = product_state(atom, field)
     data = dynamics.trajectory_data(joint, cfg.time_grid(), ppt=True,
                                     artifact_threshold=cfg.artifact_threshold)
@@ -279,7 +276,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # Python floats format faster than numpy scalars, to the same text
     rows = zip(*(col.tolist() for col in columns), data.n_significant.tolist())
     lines = [EVOLVE_HEADER] + [EVOLVE_ROW.format(*row) for row in rows]
-    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1, joint)
+    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1)
     return EXIT_OK
 
 
@@ -289,7 +286,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     field = thermal_field(cfg.n_bar, n_f)
     workers = cfg.workers or 1
     # run_sweep checks this too, once the time grid it is given exists
-    dynamics.require_memory(field.dim, float, min(workers, math.prod(cfg.grid)), cfg.samples())
+    dynamics.require_memory(field.dim, min(workers, math.prod(cfg.grid)), cfg.samples())
     grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
                                 artifact_threshold=cfg.artifact_threshold, workers=workers)
@@ -302,9 +299,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                          c.n_significant_negatives, c.status)
         for c in cells
     ]
-    # every cell is a phi = 0 atom on this field, so the first one stands for all
-    first = product_state(bloch_qubit(BlochParams(grid.r_values[0], grid.theta_values[0])), field)
-    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers, first)
+    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers)
     return EXIT_OK
 
 

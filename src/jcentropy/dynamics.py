@@ -37,6 +37,7 @@ unitary; its population is negligible when the tail mass is at 1e-15.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -48,14 +49,14 @@ from .entropy import entropy_from_spectrum
 from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
 from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
                      FieldDistribution, FloatArray, banded_eigvalsh, eigvalsh, ladder,
-                     lapack_solver, validate_density)
+                     validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
 CHUNK_BYTES = 2 << 20
-# Peak working set of one trajectory with a margin, in blocks of evolved samples and
-# dense complex joint matrices.  tracemalloc at D = 30, 96 and 228 measured up to 2.7
-# blocks real and 5.5 complex with an eigensolve, 0.15 real without one at D = 96.
+# Peak working set of one real trajectory with a margin, in blocks of evolved samples and
+# dense joint matrices.  tracemalloc at D = 30, 96 and 228 measured up to 2.7 blocks with
+# an eigensolve, 0.15 without one at D = 96.
 _BLOCKS_LIVE, _MATRICES_LIVE = 6, 8
 # Half-bandwidth of the joint state in excitation-number order (see _band_map).
 _JOINT_KD = 3
@@ -93,11 +94,6 @@ def _gauged(rho0: DensityMatrix) -> tuple[np.ndarray, complex]:
     return sigma, 1.0
 
 
-def arithmetic(rho0: DensityMatrix) -> str:
-    """"real" or "complex": the number type ``rho0`` is evolved in."""
-    return "real" if _gauged(rho0)[0].dtype == np.float64 else "complex"
-
-
 def _excitation_banded(sigma0: np.ndarray) -> bool:
     """Whether the gauged state ``sigma0`` is real and its entries |N_i - N_j| >= 2 apart
     are 0.  Then, along its trajectory, the reduced field is real and tridiagonal, and
@@ -106,12 +102,6 @@ def _excitation_banded(sigma0: np.ndarray) -> bool:
         return False
     quanta = _excitation_weights(sigma0.shape[0] // 2)
     return not sigma0[np.abs(np.subtract.outer(quanta, quanta)) >= 2].any()
-
-
-def band_solver(rho0: DensityMatrix) -> str:
-    """The eigensolver ("dsbev" or "eigvalsh") of the reduced field spectra of the
-    trajectory of ``rho0``, and of its joint spectra under full verification."""
-    return lapack_solver() if _excitation_banded(_gauged(rho0)[0]) else "eigvalsh"
 
 
 class _Blocks(NamedTuple):
@@ -222,18 +212,17 @@ def _chunk_samples(dim: int, dtype) -> int:
     return max(1, CHUNK_BYTES // (dim * dim * np.dtype(dtype).itemsize))
 
 
-def peak_bytes(f_dim: int, dtype, workers: int = 1, samples: int = 0) -> int:
+def peak_bytes(f_dim: int, workers: int = 1, samples: int = 0) -> int:
     """Estimated peak array memory of ``workers`` concurrent trajectories of ``samples``
     time samples each.
 
-    ``dtype`` is that of the gauged state: float64 for any Bloch atom on a
-    diagonal field, complex128 for most entangled states.  Each output column
-    is held twice per sample, in its blocks and joined.
+    It sizes real runs: every Bloch atom on a diagonal field gauges to a real
+    state.  Each output column is held twice per sample, in its blocks and joined.
     """
     dim = 2 * f_dim
-    block = _chunk_samples(dim, dtype) * dim * dim * np.dtype(dtype).itemsize
+    block = _chunk_samples(dim, float) * dim * dim * 8
     columns = samples * 2 * 8 * len(fields(TrajectoryData))
-    return workers * (_BLOCKS_LIVE * block + _MATRICES_LIVE * dim * dim * 16 + columns)
+    return workers * (_BLOCKS_LIVE * block + _MATRICES_LIVE * dim * dim * 8 + columns)
 
 
 def machine_bytes() -> int:
@@ -241,10 +230,10 @@ def machine_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def require_memory(f_dim: int, dtype, workers: int = 1, samples: int = 0, extra: int = 0):
+def require_memory(f_dim: int, workers: int = 1, samples: int = 0, extra: int = 0):
     """Raise :class:`InsufficientMemory` before a run that would not fit in memory: the
     trajectories of :func:`peak_bytes`, and ``extra`` bytes besides."""
-    need, have = peak_bytes(f_dim, dtype, workers, samples) + extra, machine_bytes()
+    need, have = peak_bytes(f_dim, workers, samples) + extra, machine_bytes()
     if need > have:
         raise InsufficientMemory(need, have)
 
@@ -317,6 +306,17 @@ class TrajectoryData:
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+def sample_count(t_max: float, dt: float) -> int:
+    """The length of :func:`time_grid`, counted without building it."""
+    return math.ceil((t_max + dt / 2) / dt)
+
+
+def time_grid(t_max: float, dt: float) -> FloatArray:
+    """The samples 0, dt, 2 dt, ... to ``t_max`` within half a step: bit-identical to
+    ``np.arange(0.0, t_max + dt / 2, dt)``, which numpy fills as ``0.0 + i * dt``."""
+    return dt * np.arange(sample_count(t_max, dt))
 
 
 def _validate_grid(t_grid) -> FloatArray:

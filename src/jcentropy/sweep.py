@@ -54,13 +54,14 @@ class SweepGrid:
     t_grid: FloatArray
 
     def __post_init__(self):
-        for name in ("theta_values", "r_values", "t_grid"):
+        for name in ("theta_values", "r_values"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size == 0:
                 raise InvalidParameter(f"{name} must be non-empty")
             if arr.size > 1 and np.min(np.diff(arr)) <= 0:
                 raise InvalidParameter(f"{name} must be strictly increasing")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "t_grid", dynamics._validate_grid(self.t_grid))
         if self.r_values[0] <= 0 or self.r_values[-1] > 1:
             raise InvalidParameter("r_values must lie in (0, 1]")
         if self.theta_values[0] < -np.pi / 2 or self.theta_values[-1] > np.pi / 2:
@@ -108,7 +109,7 @@ def default_grid(
         r_values=np.linspace(0.02, 1.0, n_r),
         n_bar=n_bar,
         n_f=n_f,
-        t_grid=np.arange(0.0, t_max + dt / 2, dt),
+        t_grid=dynamics.time_grid(t_max, dt),
     )
 
 
@@ -224,15 +225,14 @@ def run_sweep(
     does not depend on it.
     """
     diagnostics = frozenset(diagnostics)
-    unknown = diagnostics - DIAGNOSTICS
-    if unknown:
-        raise InvalidParameter(f"unknown diagnostics: {sorted(unknown)}")
+    if not diagnostics or diagnostics - DIAGNOSTICS:
+        raise InvalidParameter(f"diagnostics {sorted(diagnostics)}: not one or more of "
+                               f"{sorted(DIAGNOSTICS)}")
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise InvalidParameter(f"workers={workers} must be >= 1")
-    # cells are phi = 0 atoms on a diagonal field, so every trajectory runs real
-    dynamics.require_memory(grid.n_f + 2, float, min(workers, grid.n_cells), grid.t_grid.size)
+    dynamics.require_memory(grid.n_f + 2, min(workers, grid.n_cells), grid.t_grid.size)
 
     indices = range(grid.n_cells)
     if workers == 1 or grid.n_cells == 1:

@@ -10,6 +10,10 @@ from jcentropy import cli, dynamics
 from jcentropy.states import lapack_solver
 
 
+SIDECAR_KEYS = {"config", "chosen_n_f", "tail_mass", "wall_time_s", "workers", "rows",
+                "band_solver", "numpy"}
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -95,9 +99,8 @@ class TestEvolveCommand:
         }
         assert meta["config"]["atom"] == "excited"
         assert meta["workers"] == 1
-        assert meta["arithmetic"] == "real"
+        assert set(meta) == SIDECAR_KEYS
         assert meta["band_solver"] == lapack_solver()
-        assert "field_solver" not in meta and "joint_solver" not in meta
         assert meta["numpy"] == np.__version__
 
     @pytest.mark.parametrize("key,value", [("eps", "1e-9"), ("workers", "2")])
@@ -156,17 +159,16 @@ def test_memory_preflight_refuses_before_truncation_scan(command, tmp_path, monk
 
 
 def test_memory_preflight_sizes_phi_atom_real(tmp_path, monkeypatch):
-    # past D = 362 a complex block outgrows a real one; a phi atom evolves real.  Two
-    # samples, each with its trajectory columns and its CSV row
-    rows = 2 * cli._EVOLVE_ROW_BYTES
-    real, cplx = (dynamics.peak_bytes(182, dtype, samples=2) + rows for dtype in (float, complex))
-    assert real < cplx
-    monkeypatch.setattr(dynamics, "machine_bytes", lambda: real)
-    out = tmp_path / "phi.csv"
-    assert run(["evolve", "--n-f", "180", "--t-max", "0.01", "--dt", "0.01",
-                "--atom", "r=0.7,theta=0.4,phi=1.3", "--out", str(out)]) == 0
-    meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
-    assert meta["arithmetic"] == "real"
+    # a phi atom gauges to a real state, and the pre-flight sizes exactly that real run (at
+    # D = 362 a complex block would be twice as large): two samples, each with its
+    # trajectory columns and its CSV row
+    need = dynamics.peak_bytes(182, samples=2) + 2 * cli._EVOLVE_ROW_BYTES
+    argv = ["evolve", "--n-f", "180", "--t-max", "0.01", "--dt", "0.01",
+            "--atom", "r=0.7,theta=0.4,phi=1.3", "--out", str(tmp_path / "phi.csv")]
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: need - 1)
+    assert run(argv) == 2
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: need)
+    assert run(argv) == 0
 
 
 @pytest.mark.parametrize("command", ["evolve", "sweep"])
@@ -267,9 +269,8 @@ class TestSweepCommand:
         assert meta["config"]["workers"] == 2
         assert meta["workers"] == 2
         assert meta["rows"] == 2
-        assert meta["arithmetic"] == "real"
+        assert set(meta) == SIDECAR_KEYS
         assert meta["band_solver"] == lapack_solver()
-        assert "field_solver" not in meta and "joint_solver" not in meta
         assert meta["numpy"] == np.__version__
 
     def test_map_without_ok_cell_exits_numerical(self, tmp_path, capsys):
@@ -284,6 +285,14 @@ class TestSweepCommand:
     def test_unknown_diagnostic_is_config_error(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(["sweep", "--diagnostics", "exchange,bogus", "--out", str(out)]) == 2
+
+    def test_empty_diagnostics_is_config_error(self, tmp_path, capsys):
+        # no diagnostic would give a map of zeros with every cell ok
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--diagnostics", "", "--grid", "2x2", "--t-max", "1", "--dt", "0.1",
+                    "--workers", "1", "--out", str(out)]) == 2
+        assert "diagnostics" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

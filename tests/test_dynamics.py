@@ -71,8 +71,8 @@ class TestPropagator:
     @pytest.mark.parametrize("entry", [
         lambda joint: trajectory_data(joint, [0.0, 1.0]),
         lambda joint: evolve(joint, 1.0),
-        dynamics.arithmetic,
-    ], ids=["trajectory_data", "evolve", "arithmetic"])
+        dynamics._gauged,
+    ], ids=["trajectory_data", "evolve", "gauge"])
     def test_rejects_non_qubit_atom(self, dims, entry):
         d = dims[0] * dims[1]
         joint = validate_density(np.eye(d) / d, dims)
@@ -302,11 +302,11 @@ class TestFieldSolver:
         # without full verification the field is the one band solve; n_f = 46 puts it
         # past the crossover to LAPACK's blocked dense reduction
         joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, 1.3)), thermal_field(n_bar, n_f))
-        assert dynamics.band_solver(joint) == states.lapack_solver()
+        assert dynamics._excitation_banded(dynamics._gauged(joint)[0])
         grid = np.arange(0.0, 2.0, 0.05)
         fast = trajectory_data(joint, grid, ppt=ppt, full_verification=False)
         monkeypatch.setattr(states, "_dsbev", dsbev_absent)
-        assert dynamics.band_solver(joint) == "eigvalsh"
+        assert states.lapack_solver() == "eigvalsh"
         dense = trajectory_data(joint, grid, ppt=ppt, full_verification=False)
         for name in TrajectoryData.__dataclass_fields__:
             got, want = getattr(fast, name), getattr(dense, name)
@@ -320,8 +320,9 @@ class TestFieldSolver:
         m = g @ g.T
         m[:f_dim, f_dim:] = m[f_dim:, :f_dim] = 0.0
         joint = validate_density(m / np.trace(m), (2, f_dim))
-        assert dynamics.arithmetic(joint) == "real"
-        assert dynamics.band_solver(joint) == "eigvalsh"
+        sigma0, _ = dynamics._gauged(joint)
+        assert sigma0.dtype == np.float64
+        assert not dynamics._excitation_banded(sigma0)
 
         def unexpected(_):
             raise AssertionError("band solver called on a non-banded state")
@@ -352,11 +353,11 @@ class TestJointSolver:
     def test_band_path_equals_dense_to_rounding(self, atom, n_bar, n_f, ppt, monkeypatch):
         joint = product_state(bloch_qubit(BlochParams(*atom)), thermal_field(n_bar, n_f))
         # n_f = 46 puts the field past LAPACK's crossover to a blocked dense reduction
-        assert dynamics.band_solver(joint) == states.lapack_solver()
+        assert dynamics._excitation_banded(dynamics._gauged(joint)[0])
         grid = np.arange(0.0, 3.0, 0.05)
         band = trajectory_data(joint, grid, ppt=ppt)
         monkeypatch.setattr(states, "_dsbev", dsbev_absent)
-        assert dynamics.band_solver(joint) == "eigvalsh"
+        assert states.lapack_solver() == "eigvalsh"
         dense = trajectory_data(joint, grid, ppt=ppt)
         for name in TrajectoryData.__dataclass_fields__:
             got, want = getattr(band, name), getattr(dense, name)
@@ -474,27 +475,19 @@ class TestMemoryPreflight:
     def test_estimate_bounds_measured_peak(self, field01, phi):
         # every Bloch atom on a diagonal field evolves real
         joint = product_state(bloch_qubit(BlochParams(0.7, 0.4, phi)), field01)
-        assert dynamics.arithmetic(joint) == "real"
-        assert self.measured_peak(joint) <= dynamics.peak_bytes(field01.dim, float)
+        assert dynamics._gauged(joint)[0].dtype == np.float64
+        assert self.measured_peak(joint) <= dynamics.peak_bytes(field01.dim)
 
-    def test_estimate_bounds_measured_peak_complex(self, rng):
-        # a dense entangled state occupies every pair block in complex128
-        joint = random_density(rng, 30, (2, 15))
-        assert dynamics.arithmetic(joint) == "complex"
-        assert self.measured_peak(joint) <= dynamics.peak_bytes(15, complex)
-
-    def test_scales_with_workers_and_dtype(self):
-        assert dynamics.peak_bytes(15, float, 2) == 2 * dynamics.peak_bytes(15, float)
-        # past one sample per block, a complex block is twice a real one
-        assert dynamics.peak_bytes(400, complex) > dynamics.peak_bytes(400, float)
+    def test_scales_with_workers(self):
+        assert dynamics.peak_bytes(15, 2) == 2 * dynamics.peak_bytes(15)
 
     def test_refuses_beyond_machine_memory(self, monkeypatch):
-        need = dynamics.peak_bytes(15, float, 2)
+        need = dynamics.peak_bytes(15, 2)
         monkeypatch.setattr(dynamics, "machine_bytes", lambda: need - 1)
         with pytest.raises(InsufficientMemory) as exc:
-            dynamics.require_memory(15, float, 2)
+            dynamics.require_memory(15, 2)
         assert exc.value.need == need
-        dynamics.require_memory(15, float, 1)
+        dynamics.require_memory(15, 1)
 
     def test_block_path_peaks_below_one_dense_block(self):
         # without an eigensolve no dense (block, D, D) sample is built: D = 96, as in sweep-hot

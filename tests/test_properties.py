@@ -50,7 +50,7 @@ def assert_matches_oracle(joint, grid):
 @given(n_bars, radii, thetas, times)
 def test_real_path_matches_dense_oracle(n_bar, r, theta, ts):
     joint = joint_state(n_bar, r, theta, 0.0)
-    assert dynamics.arithmetic(joint) == "real"
+    assert dynamics._gauged(joint)[0].dtype == np.float64
     assert_matches_oracle(joint, grid_of(ts))
 
 
@@ -60,8 +60,18 @@ def test_real_path_matches_dense_oracle(n_bar, r, theta, ts):
 def test_complex_path_matches_dense_oracle(n_bar, r, theta, phi, ts):
     # a complex-valued atom: the phi factor of the gauge makes it real
     joint = joint_state(n_bar, r, theta, phi)
-    assert dynamics.arithmetic(joint) == "real"
+    assert dynamics._gauged(joint)[0].dtype == np.float64
     assert_matches_oracle(joint, grid_of(ts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_bars, st.floats(min_value=0.0, max_value=1.0, exclude_min=True), thetas, phis)
+@example(2.225073858507203e-309, 1.0, 0.0, 1.5)  # subnormal level-1 weight
+def test_every_bloch_atom_on_a_thermal_field_gauges_banded(n_bar, r, theta, phi):
+    # every state the CLI builds, so its sidecar names the band solver without gauging one
+    sigma0, _ = dynamics._gauged(joint_state(n_bar, r, theta, phi))
+    assert sigma0.dtype == np.float64
+    assert dynamics._excitation_banded(sigma0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -80,7 +90,7 @@ def test_phi_changes_no_diagnostic(n_bar, r, theta, phi, ts):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 12), times)
 def test_entangled_complex_state_matches_dense_oracle(seed, f_dim, ts):
     joint = random_density(np.random.default_rng(seed), 2 * f_dim, (2, f_dim))
-    assert dynamics.arithmetic(joint) == "complex"
+    assert dynamics._gauged(joint)[0].dtype == np.complex128
     assert_matches_oracle(joint, grid_of(ts))
 
 

@@ -68,7 +68,7 @@ class TestRunSweep:
     def test_memory_preflight_counts_workers(self, monkeypatch):
         # room for one trajectory but not two: the pool is refused, one worker runs
         grid = small_grid(r_values=np.array([0.9]), t_grid=np.arange(0.0, 1.0, 0.1))
-        one = dynamics.peak_bytes(grid.n_f + 2, float)
+        one = dynamics.peak_bytes(grid.n_f + 2)
         monkeypatch.setattr(dynamics, "machine_bytes", lambda: one + one // 2)
         with pytest.raises(InsufficientMemory):
             run_sweep(grid, ("exchange",), workers=2)
@@ -120,6 +120,11 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter):
             run_sweep(small_grid(), ("exchange", "sideways"), workers=1)
 
+    def test_rejects_empty_diagnostics(self):
+        # no diagnostic would give a map of zeros with every cell ok
+        with pytest.raises(InvalidParameter, match="diagnostics"):
+            run_sweep(small_grid(), (), workers=1)
+
     def test_excitation_drift_is_cell_error(self, monkeypatch):
         # cell 0 is spot-checked; a drifting excitation number marks it only
         real = dynamics.trajectory_data
@@ -167,6 +172,12 @@ class TestGridValidation:
     def test_axes_must_increase(self):
         with pytest.raises(InvalidParameter):
             small_grid(r_values=np.array([0.9, 0.3]))
+
+    @pytest.mark.parametrize("t_grid", [[0.5, 1.0, 1.5], [0.0, 1.0, 0.5], [], [[0.0, 1.0]]])
+    def test_time_grid_refused_as_the_engine_refuses_it(self, t_grid):
+        # not accepted here and then refused in every cell
+        with pytest.raises(InvalidParameter, match="t_grid"):
+            small_grid(t_grid=np.array(t_grid))
 
     def test_radius_bounds(self):
         with pytest.raises(InvalidParameter):
