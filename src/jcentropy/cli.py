@@ -87,7 +87,7 @@ class RunConfig:
     artifact_threshold: float = entanglement.ARTIFACT_THRESHOLD
     diagnostics: tuple[str, ...] = ("exchange", "mutual", "ppt")
     grid: tuple[int, int] = (51, 51)
-    workers: int | None = None
+    workers: int = 1
     out: str | None = None
 
     def validate(self) -> "RunConfig":
@@ -109,7 +109,7 @@ class RunConfig:
                               f"{sorted(sweep_mod.DIAGNOSTICS)}")
         if self.grid[0] < 1 or self.grid[1] < 1:
             raise ConfigError(f"grid: {self.grid} must be at least 1x1")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ConfigError(f"workers: {self.workers} must be >= 1")
         return self
 
@@ -238,7 +238,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
-                   tail_mass: float, start: float, workers: int) -> None:
+                   tail_mass: float, start: float) -> None:
     """The CSV, then the sidecar holding what can vary between runs."""
     _write(cfg.out, "\n".join(lines) + "\n")
     meta = {
@@ -250,7 +250,7 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
         "chosen_n_f": n_f,
         "tail_mass": tail_mass,
         "wall_time_s": time.monotonic() - start,
-        "workers": workers,
+        "workers": cfg.workers,  # 1 for evolve, which runs in one process
         "rows": len(lines) - 1,
         # every run evolves Bloch atoms on a diagonal field: excitation-banded states
         "band_solver": lapack_solver(),
@@ -276,7 +276,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
     # Python floats format faster than numpy scalars, to the same text
     rows = zip(*(col.tolist() for col in columns), data.n_significant.tolist())
     lines = [EVOLVE_HEADER] + [EVOLVE_ROW.format(*row) for row in rows]
-    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start, 1)
+    _write_outputs("evolve", cfg, lines, n_f, field.tail_mass, start)
     return EXIT_OK
 
 
@@ -284,12 +284,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
-    workers = cfg.workers or 1
     # run_sweep checks this too, once the time grid it is given exists
-    dynamics.require_memory(field.dim, min(workers, math.prod(cfg.grid)), cfg.samples())
+    dynamics.require_memory(field.dim, min(cfg.workers, math.prod(cfg.grid)), cfg.samples())
     grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
-                                artifact_threshold=cfg.artifact_threshold, workers=workers)
+                                artifact_threshold=cfg.artifact_threshold, workers=cfg.workers)
     statuses = collections.Counter(c.status for c in cells)
     if "ok" not in statuses:  # a map with no trusted cell is refused, not written
         raise AllStepsSkipped("no cell has status ok: " + ", ".join(
@@ -299,7 +298,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                          c.n_significant_negatives, c.status)
         for c in cells
     ]
-    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start, workers)
+    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start)
     return EXIT_OK
 
 
@@ -501,9 +500,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"out: the directory of {cfg.out} does not exist")
         if args.command == "evolve":
             return cmd_evolve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"command: unknown {args.command!r}")
+        return cmd_sweep(cfg)
     except (ConfigError, InvalidParameter, DimensionMismatch, MissingFactorization) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,11 +45,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
-from .entropy import entropy_from_spectrum
-from .errors import InsufficientMemory, InvalidParameter, NotHermitian, NotPositive, TraceNotOne
-from .states import (HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING, TRACE_TOL, DensityMatrix,
-                     FieldDistribution, FloatArray, banded_eigvalsh, eigvalsh, ladder,
-                     validate_density)
+from .entropy import EntropySeries, entropy_from_spectrum
+from .errors import (ConservationViolation, InsufficientMemory, InvalidParameter, NotHermitian,
+                     NotPositive, TraceNotOne)
+from .states import (EXCITATION_DRIFT_TOL, HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING,
+                     TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, banded_eigvalsh,
+                     eigvalsh, ladder, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -285,27 +286,18 @@ def _excitation_weights(f_dim: int) -> FloatArray:
 
 
 @dataclass(frozen=True)
-class TrajectoryData:
-    """Column-wise trajectory results.
+class TrajectoryData(EntropySeries):
+    """Column-wise trajectory results: the entropy series, then the excitation number.
 
     The last four columns are those of :class:`PptReport`, one entry per
     sample; they are None unless requested.
     """
 
-    t: FloatArray
-    s_atom: FloatArray
-    s_field: FloatArray
-    s_joint: FloatArray
-    purity_atom: FloatArray
-    purity_field: FloatArray
     n_expectation: FloatArray
     lambda_m: FloatArray | None = None
     n_significant: np.ndarray | None = None
     min_transpose_eigenvalue: FloatArray | None = None
     artifact_magnitude: FloatArray | None = None
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 def sample_count(t_max: float, dt: float) -> int:
@@ -346,7 +338,9 @@ def trajectory_data(
     positivity and yields the joint entropy per sample.  Without it the joint
     spectrum of the initial state is reused (exact under unitary evolution,
     at a fraction of the cost); callers doing this rely on spot-checked
-    samples for positivity.
+    samples for positivity.  Every trajectory passes the range checks of
+    :class:`EntropySeries` and keeps the excitation number within
+    ``EXCITATION_DRIFT_TOL``, or raises.
     """
     grid = _validate_grid(t_grid)
     d_a, d_f = rho0.require_joint()
@@ -421,4 +415,8 @@ def trajectory_data(
             part.update((f.name, getattr(report, f.name)) for f in fields(PptReport))
         parts.append(part)
 
-    return TrajectoryData(t=grid, **{c: np.concatenate([p[c] for p in parts]) for c in parts[0]})
+    data = TrajectoryData(t=grid, **{c: np.concatenate([p[c] for p in parts]) for c in parts[0]})
+    drift = float(data.n_expectation.max() - data.n_expectation.min())
+    if drift > EXCITATION_DRIFT_TOL:
+        raise ConservationViolation("excitation number", drift, EXCITATION_DRIFT_TOL)
+    return data

@@ -71,7 +71,7 @@ def ppt_report(
     Raises :class:`TraceNotOne` when an eigenvalue sum of the partial
     transpose leaves 1 by more than ``PT_TRACE_TOL``.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # NaN too
         raise InvalidParameter(f"threshold={threshold} must be positive")
     w = eigvalsh(partial_transpose(mat, dims))
     totals = np.ravel(w.sum(axis=-1))

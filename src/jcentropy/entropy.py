@@ -9,7 +9,7 @@ and fall together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,24 @@ EIGENVALUE_CLAMP = 1e-14
 DEFAULT_EPS = 1e-9
 
 
-def entropy_from_spectrum(w, clamp: float = EIGENVALUE_CLAMP) -> float:
+def entropy_from_spectrum(w) -> float:
     """-sum(w ln w) over a probability spectrum, with 0 ln 0 = 0.
 
     Accepts a stack of spectra; the reduction runs over the last axis.
     """
     w = np.asarray(w, dtype=np.float64)
-    safe = np.where(w > clamp, w, 1.0)
-    out = -(np.where(w > clamp, w, 0.0) * np.log(safe)).sum(axis=-1)
+    safe = np.where(w > EIGENVALUE_CLAMP, w, 1.0)
+    out = -(np.where(w > EIGENVALUE_CLAMP, w, 0.0) * np.log(safe)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class EntropySeries:
-    """Partial and joint entropies plus purities sampled along a trajectory."""
+    """Partial and joint entropies plus purities sampled along a trajectory.
+
+    Construction checks the lengths and the ranges of the columns.
+    ``dynamics.TrajectoryData`` extends it with the other per-sample columns.
+    """
 
     t: FloatArray
     s_atom: FloatArray
@@ -59,11 +63,6 @@ class EntropySeries:
             arr = getattr(self, name)
             if np.min(arr) <= 0 or np.max(arr) > 1 + 1e-12:
                 raise InvalidParameter(f"{name} leaves (0, 1]")
-
-    @classmethod
-    def from_trajectory(cls, data) -> "EntropySeries":
-        """The entropy and purity columns of a trajectory (``TrajectoryData``)."""
-        return cls(**{f.name: getattr(data, f.name) for f in fields(cls)})
 
     def __len__(self) -> int:
         return len(self.t)
@@ -100,7 +99,7 @@ def exchange_parameter(series: EntropySeries, eps: float = DEFAULT_EPS) -> Excha
     """
     if len(series) < 2:
         raise InvalidParameter("series needs at least two samples")
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise InvalidParameter(f"eps={eps} must be positive")
     da = np.diff(series.s_atom)
     df = np.diff(series.s_field)
@@ -128,7 +127,7 @@ def mutual_entropy_ratio(series: EntropySeries, eps: float = DEFAULT_EPS) -> Mut
     at that instant.  Samples whose smaller partial entropy is below ``eps``
     are skipped; raises :class:`AllStepsSkipped` if none remain.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise InvalidParameter(f"eps={eps} must be positive")
     mutual = series.s_atom + series.s_field - series.s_joint
     smaller = np.minimum(series.s_atom, series.s_field)

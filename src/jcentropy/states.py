@@ -37,6 +37,8 @@ FloatArray = npt.NDArray[np.float64]
 # Max elementwise |M - M^dag| accepted for a density matrix.
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+# Max spread of <N>, the conserved excitation number, along one trajectory.
+EXCITATION_DRIFT_TOL = 1e-12
 # Eigensolver noise floor at these dimensions; eigenvalues above it count as >= 0.
 PSD_FLOOR = -1e-10
 # Largest |Im z| / |z| taken as rounding when one complex multiply turns z real: about
@@ -233,13 +235,7 @@ class DensityMatrix:
         return self.dims[0], self.dims[1]
 
 
-def validate_density(
-    mat,
-    dims: tuple[int, ...],
-    herm_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_floor: float = PSD_FLOOR,
-) -> DensityMatrix:
+def validate_density(mat, dims: tuple[int, ...], trace_tol: float = TRACE_TOL) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positivity; return the validated state.
 
     Raises :class:`NotHermitian`, :class:`TraceNotOne`, or :class:`NotPositive`
@@ -249,14 +245,14 @@ def validate_density(
     if int(np.prod(dims)) != m.shape[0]:
         raise MissingFactorization(f"dims {dims} do not multiply to dimension {m.shape[0]}")
     residual = hermiticity_residual(m)
-    if residual > herm_tol:
-        raise NotHermitian(residual, herm_tol)
+    if residual > HERMITICITY_TOL:
+        raise NotHermitian(residual, HERMITICITY_TOL)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > trace_tol:
         raise TraceNotOne(tr, trace_tol)
     w = eigvalsh(m)
-    if w[0] < psd_floor:
-        raise NotPositive(float(w[0]), psd_floor)
+    if w[0] < PSD_FLOOR:
+        raise NotPositive(float(w[0]), PSD_FLOOR)
     return DensityMatrix(m, tuple(int(d) for d in dims), w)
 
 
@@ -288,17 +284,15 @@ def thermal_field(n_bar: float, n_f: int) -> FieldDistribution:
     return FieldDistribution(float(n_bar), n_f, _lumped(_planck_prefix(n_bar, n_f + 1), n_f))
 
 
-def auto_truncate(n_bar: float, tol: float = TRUNCATION_TOL) -> int:
-    """Smallest ``n_f`` whose field entropy is converged to within ``tol``.
+def auto_truncate(n_bar: float) -> int:
+    """Smallest ``n_f`` whose field entropy is converged to within ``TRUNCATION_TOL``.
 
     Scans upward until adding one more retained Fock level changes the
-    distribution's von Neumann entropy by less than ``tol``.  The Planck
-    weights are built once, doubling their length when the scan needs more.
+    distribution's von Neumann entropy by less than that.  The Planck weights
+    are built once, doubling their length when the scan needs more.
     """
     if n_bar < 0:
         raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
-    if tol <= 0:
-        raise InvalidParameter(f"tol={tol} must be positive")
     from .entropy import entropy_from_spectrum  # deferred: entropy imports this module
 
     prefix = _planck_prefix(n_bar, 64)
@@ -308,7 +302,7 @@ def auto_truncate(n_bar: float, tol: float = TRUNCATION_TOL) -> int:
         if n_f + 2 >= len(prefix):
             prefix = _planck_prefix(n_bar, 2 * len(prefix))
         s_next = entropy_from_spectrum(_lumped(prefix, n_f + 1))
-        if abs(s_next - s_prev) < tol:
+        if abs(s_next - s_prev) < TRUNCATION_TOL:
             return n_f
         n_f += 1
         s_prev = s_next

@@ -93,7 +93,7 @@ def _diagonal_oracle_series(p_e: float, field, t_grid) -> EntropySeries:
 
 
 def test_c02_ground_state_exchange_regime(field01, ground_data):
-    p = exchange_parameter(EntropySeries.from_trajectory(ground_data)).p
+    p = exchange_parameter(ground_data).p
     p_oracle = exchange_parameter(_diagonal_oracle_series(0.0, field01, T_GRID)).p
     ds_a = ground_data.s_atom - ground_data.s_atom[0]
     ds_f = ground_data.s_field - ground_data.s_field[0]
@@ -113,12 +113,12 @@ def test_c02_ground_state_exchange_regime(field01, ground_data):
 
 
 def test_c03_excited_state_cofluctuation(excited_data):
-    p = exchange_parameter(EntropySeries.from_trajectory(excited_data)).p
+    p = exchange_parameter(excited_data).p
     _report(3, "excited_state_cofluctuation", p > 0.0, f"P={p:.4f} (need > 0)")
 
 
 def test_c04_near_complete_exchange(near_complete_data):
-    p = exchange_parameter(EntropySeries.from_trajectory(near_complete_data)).p
+    p = exchange_parameter(near_complete_data).p
     ds_a = near_complete_data.s_atom - near_complete_data.s_atom[0]
     ds_sum = ds_a + (near_complete_data.s_field - near_complete_data.s_field[0])
     ratio = float(np.ptp(ds_a) / np.ptp(ds_sum))
@@ -332,7 +332,7 @@ def test_c11_entropy_closed_forms():
 
     worst = 0.0
     for n_bar in (0.1, 1.0, 10.0):
-        field = thermal_field(n_bar, auto_truncate(n_bar, 1e-14))
+        field = thermal_field(n_bar, auto_truncate(n_bar))
         closed = (n_bar + 1) * np.log(n_bar + 1) - n_bar * np.log(n_bar)
         worst = max(worst, abs(entropy_from_spectrum(field.probs) - closed))
     mixed_qubit = validate_density(np.eye(2) / 2, (2,))

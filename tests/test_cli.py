@@ -124,6 +124,15 @@ class TestEvolveCommand:
         assert run(["evolve", "--n-f", "4", "--t-max", "0.2", "--dt", "0.1",
                     "--out", str(out)]) == 3
 
+    def test_excitation_drift_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        # evolve runs the trajectory checks the sweep cells run, drift included
+        monkeypatch.setattr(dynamics, "EXCITATION_DRIFT_TOL", -1.0)
+        out = tmp_path / "x.csv"
+        assert run(["evolve", "--n-f", "4", "--t-max", "0.2", "--dt", "0.1",
+                    "--out", str(out)]) == 3
+        assert "excitation number drifted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_is_config_error(self):
         assert run(["evolve", "--n-bar", "0.1"]) == 2
 
@@ -253,6 +262,8 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert rows[0][4] == "-inf"
         assert float(rows[0][4]) == float("-inf")
+        meta = json.loads((out.parent / (out.name + ".meta.json")).read_text())
+        assert meta["config"]["workers"] == meta["workers"] == 1  # the default, not null
 
     def test_sidecar_metadata(self, tmp_path):
         out = tmp_path / "meta.csv"

@@ -8,6 +8,7 @@ from conftest import dsbev_absent, dsbev_failing, random_density, random_pure_pr
 from dense_oracle import dense_trajectory, excitation_expectation, propagator_stack, purity
 from jcentropy import (
     BlochParams,
+    EntropySeries,
     InsufficientMemory,
     InvalidParameter,
     NoConvergence,
@@ -19,6 +20,7 @@ from jcentropy import (
     dynamics,
     entropy_from_spectrum,
     evolve,
+    exchange_parameter,
     ladder,
     partial_trace,
     ppt_report,
@@ -226,6 +228,14 @@ class TestTrajectory:
         data = trajectory_data(joint, np.arange(0.0, 3.0, 0.5))
         for column in (data.s_atom, data.s_field, data.purity_atom):
             assert np.abs(column - column[0]).max() < 1e-12
+
+    def test_feeds_the_diagnostics(self, ground_joint):
+        # a trajectory is the entropy series the diagnostics reduce: no conversion
+        assert issubclass(TrajectoryData, EntropySeries)
+        data = trajectory_data(ground_joint, np.arange(0.0, 5.0, 0.05))
+        result = exchange_parameter(data)
+        assert result.used_steps + result.skipped_steps == len(data) - 1
+        assert -1.0 <= result.p < 0.0
 
     def test_excitation_drift(self, rng, field01):
         joint = product_state(random_density(rng, 2), field01)

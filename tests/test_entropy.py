@@ -184,7 +184,7 @@ class TestMutualEntropyRatio:
         atom = validate_density(np.diag([1 / 12, 11 / 12]).astype(complex), (2,))
         joint = product_state(atom, field01)
         data = trajectory_data(joint, np.arange(0.0, 3.0, 0.1))
-        result = mutual_entropy_ratio(EntropySeries.from_trajectory(data))
+        result = mutual_entropy_ratio(data)
         assert abs(result.r_bar) < 1e-9
         assert result.skipped_samples == 0
 
@@ -203,9 +203,7 @@ class TestMutualEntropyRatio:
 
     def test_ground_state_trajectory_stays_separable_grade(self, ground_joint):
         data = trajectory_data(ground_joint, np.arange(0.0, 25.0, 0.05))
-        series = EntropySeries.from_trajectory(data)
-        assert np.array_equal(series.s_field, data.s_field)
-        assert mutual_entropy_ratio(series).r_bar <= 1.0
+        assert mutual_entropy_ratio(data).r_bar <= 1.0
 
 
 class TestPurityRateExact:

@@ -74,12 +74,11 @@ class TestThermalField:
 
 class TestAutoTruncate:
     def test_vacuum_is_minimal(self):
-        assert auto_truncate(0.0, 1e-14) == 1
-        assert auto_truncate(0.0, 1e-3) == 1
+        assert auto_truncate(0.0) == 1
 
     def test_weak_field_frozen_value(self):
         # independently re-derived by the scan oracle below
-        assert auto_truncate(0.1, 1e-14) == 13
+        assert auto_truncate(0.1) == 13
 
     def test_scan_oracle_agreement(self):
         def oracle(n_bar, tol):
@@ -93,8 +92,8 @@ class TestAutoTruncate:
                 n_f += 1
             return n_f
 
-        assert auto_truncate(0.1, 1e-14) == oracle(0.1, 1e-14)
-        assert auto_truncate(0.5, 1e-12) == oracle(0.5, 1e-12)
+        assert auto_truncate(0.1) == oracle(0.1, 1e-14)
+        assert auto_truncate(0.5) == oracle(0.5, 1e-14)
 
     @pytest.mark.parametrize(
         "n_bar,n_f", [(0.0, 1), (0.1, 13), (1.0, 46), (3.0, 112), (10.0, 338), (100.0, 3070)]
@@ -109,12 +108,12 @@ class TestAutoTruncate:
             probs[k + 1] = max(0.0, 1.0 - probs[: k + 1].sum())
             return probs
 
-        assert auto_truncate(n_bar, 1e-14) == n_f
+        assert auto_truncate(n_bar) == n_f
         for k in (0, 1, 13, 63, 64, 65, n_f):
             assert thermal_field(n_bar, k).probs.tobytes() == loop_probs(k).tobytes()
 
     def test_monotone_in_mean_photon_number(self):
-        assert auto_truncate(10.0, 1e-14) > auto_truncate(0.1, 1e-14)
+        assert auto_truncate(10.0) > auto_truncate(0.1)
 
     # random draws stay where the quadratic scan is cheap; n_bar = 1000 is an example
     @settings(max_examples=25, deadline=None)
@@ -131,12 +130,8 @@ class TestAutoTruncate:
             truncation_floor(-0.1)
 
     def test_converged_tail_is_negligible(self):
-        n_f = auto_truncate(0.1, 1e-14)
+        n_f = auto_truncate(0.1)
         assert thermal_field(0.1, n_f).tail_mass < 1e-14
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidParameter):
-            auto_truncate(0.1, 0.0)
 
 
 class TestBlochQubit:
@@ -268,7 +263,7 @@ class TestValidateDensity:
 
 def test_field_distribution_entropy_matches_closed_form():
     for n_bar in (0.1, 1.0):
-        f = thermal_field(n_bar, auto_truncate(n_bar, 1e-14))
+        f = thermal_field(n_bar, auto_truncate(n_bar))
         closed = (n_bar + 1) * np.log(n_bar + 1) - n_bar * np.log(n_bar)
         assert abs(entropy_from_spectrum(f.probs) - closed) < 1e-10
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -126,21 +124,20 @@ class TestRunSweep:
             run_sweep(small_grid(), (), workers=1)
 
     def test_excitation_drift_is_cell_error(self, monkeypatch):
-        # cell 0 is spot-checked; a drifting excitation number marks it only
-        real = dynamics.trajectory_data
-
-        def drifting(*args, **kwargs):
-            data = real(*args, **kwargs)
-            if not kwargs["full_verification"]:
-                return data
-            drift = data.n_expectation + np.linspace(0.0, 1e-9, len(data))
-            return dataclasses.replace(data, n_expectation=drift)
-
-        monkeypatch.setattr(dynamics, "trajectory_data", drifting)
+        # every trajectory checks its excitation number, spot-checked cell 0 or not
+        monkeypatch.setattr(dynamics, "EXCITATION_DRIFT_TOL", -1.0)
         cells = run_sweep(small_grid(), ("exchange",), workers=1)
-        assert cells[0].status == "error:ConservationViolation"
-        assert cells[0].p is None
-        assert all(c.status == "ok" for c in cells[1:])
+        assert {c.status for c in cells} == {"error:ConservationViolation"}
+        assert all(c.p is None for c in cells)
+
+    @pytest.mark.parametrize("diagnostic,knob", [("exchange", "eps"), ("mutual", "eps"),
+                                                 ("ppt", "artifact_threshold")])
+    def test_nan_threshold_is_cell_error(self, diagnostic, knob):
+        # NaN passed a `<= 0` check, then skipped every step or hid every negative
+        # eigenvalue: this entangled cell read ok with E = -inf
+        grid = small_grid(theta_values=np.array([np.pi / 2]), r_values=np.array([0.9]))
+        (cell,) = run_sweep(grid, (diagnostic,), workers=1, **{knob: np.nan})
+        assert cell.status == "error:InvalidParameter"
 
     def test_solver_failure_is_cell_error(self, monkeypatch):
         def fail(_):
@@ -178,6 +175,13 @@ class TestGridValidation:
         # not accepted here and then refused in every cell
         with pytest.raises(InvalidParameter, match="t_grid"):
             small_grid(t_grid=np.array(t_grid))
+
+    @pytest.mark.parametrize("field", [{"n_f": 0}, {"n_bar": -0.5}, {"n_bar": np.nan},
+                                       {"n_bar": np.inf}], ids=str)
+    def test_field_refused_at_construction(self, field):
+        # not accepted here and then refused in every cell
+        with pytest.raises(InvalidParameter, match="n_f|n_bar"):
+            small_grid(**field)
 
     def test_radius_bounds(self):
         with pytest.raises(InvalidParameter):
