@@ -50,7 +50,6 @@ from .states import (
     bloch_qubit,
     eigvalsh,
     ladder,
-    partial_trace,
     product_state,
     thermal_field,
     validate_density,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import json
 import math
 import os
@@ -45,7 +44,6 @@ from .states import (
     bloch_qubit,
     eigvalsh,
     lapack_solver,
-    partial_trace,
     product_state,
     thermal_field,
     truncation_floor,
@@ -356,23 +354,21 @@ def _check_schmidt_equality() -> float:
 
 
 def _check_oracle_equivalence() -> float:
+    # the engine every data command runs, against the closed-form ladder populations
     field = thermal_field(0.4, 9)
     p_e = 0.3
-    worst = 0.0
     atom = validate_density(np.diag([p_e, 1 - p_e]).astype(complex), (2,))
-    joint = product_state(atom, field)
-    for t in (0.7, 2.9, 11.3):
-        (a_pop, b_pop), f_pops = dynamics.diagonal_evolve(p_e, field, t)
-        evolved = dynamics.evolve(joint, t)
-        r_atom = partial_trace(evolved, "atom").mat
-        r_field = partial_trace(evolved, "field").mat
-        worst = max(
-            worst,
-            abs(r_atom[0, 0].real - a_pop),
-            abs(r_atom[1, 1].real - b_pop),
-            float(np.abs(np.diag(r_field).real - f_pops).max()),
-        )
-    return worst
+    grid = np.array([0.0, 0.7, 2.9, 11.3])
+    data = dynamics.trajectory_data(product_state(atom, field), grid)
+    worst = 0.0
+    for k, t in enumerate(grid):
+        atom_pops, field_pops = dynamics.diagonal_evolve(p_e, field, t)
+        closed = (entropy.entropy_from_spectrum(atom_pops),
+                  entropy.entropy_from_spectrum(field_pops),
+                  sum(w * w for w in atom_pops), float((field_pops ** 2).sum()))
+        engine = data.s_atom[k], data.s_field[k], data.purity_atom[k], data.purity_field[k]
+        worst = max(worst, *(abs(a - b) for a, b in zip(engine, closed)))
+    return float(worst)
 
 
 def _check_fixed_point_stationarity() -> float:
@@ -412,9 +408,8 @@ def _check_thermal_entropy() -> float:
     return float(abs(entropy.entropy_from_spectrum(field.probs) - closed))
 
 
-@functools.cache
 def _conservation_trajectory() -> dynamics.TrajectoryData:
-    """One trajectory shared by the conservation and subadditivity checks."""
+    """The trajectory of the conservation and subadditivity checks."""
     joint = product_state(bloch_qubit(BlochParams(0.8, 0.2, 0.0)), thermal_field(0.1, 13))
     return dynamics.trajectory_data(joint, np.arange(0.0, 10.0, 0.05))
 
@@ -450,7 +445,12 @@ SELFCHECKS: list[tuple[str, object, float]] = [
 def cmd_selfcheck() -> int:
     failed = []
     for name, func, tol in SELFCHECKS:
-        residual = func()
+        try:
+            residual = func()
+        except (ValidationError, NoConvergence) as exc:  # a check that refuses fails by name
+            print(f"[FAIL] {name}: {exc}")
+            failed.append(name)
+            continue
         ok = residual <= tol
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: residual={residual:.3e} tol={tol:.1e}")
         if not ok:

@@ -21,7 +21,8 @@ The rotations mix only states of equal excitation number, and the one pair
 that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
 |N_i - N_j| >= 2 that is 0 stays exactly 0.  So for every Bloch atom on a
 diagonal field both spectra are those of real band matrices, and one band
-solver, ``states.banded_eigvalsh`` (LAPACK's ``dsbev``), takes them.  The
+solver, ``states.banded_eigvalsh`` (LAPACK's ``dsbev``), takes them; where
+numpy's LAPACK has no ``dsbev`` such a state takes the dense route.  The
 reduced field collects only entries with N_i - N_j = n - m, so it is
 tridiagonal (half-bandwidth 1), and its eigenvalues are bit-identical to the
 dense ``eigvalsh``'s at O(F^2) instead of O(F^3).  In excitation-number order
@@ -49,8 +50,8 @@ from .entropy import EntropySeries, entropy_from_spectrum
 from .errors import (ConservationViolation, InsufficientMemory, InvalidParameter, NotHermitian,
                      NotPositive, TraceNotOne)
 from .states import (EXCITATION_DRIFT_TOL, HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING,
-                     TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, banded_eigvalsh,
-                     eigvalsh, ladder, validate_density)
+                     TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, _ladder_populations,
+                     banded_eigvalsh, eigvalsh, ladder, lapack_solver, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -262,21 +263,11 @@ def diagonal_evolve(
     """
     if not 0.0 <= p_e <= 1.0:
         raise InvalidParameter(f"p_e={p_e} outside [0, 1]")
-    p = np.asarray(field_state.probs, dtype=float)
-    p_g = 1.0 - p_e
     t = float(t)
     alpha, beta = ladder(field_state.dim)
-    sin2_a, cos2_a = np.sin(alpha * t) ** 2, np.cos(alpha * t) ** 2
-    sin2_b, cos2_b = np.sin(beta * t) ** 2, np.cos(beta * t) ** 2
-
-    excited = p_e * (p * cos2_a).sum() + p_g * (p * sin2_b).sum()
-    ground = p_e * (p * sin2_a).sum() + p_g * (p * cos2_b).sum()
-
-    shift_up = lambda a: np.append(a[1:], 0.0)      # level n+1 contribution
-    shift_down = lambda a: np.concatenate(([0.0], a[:-1]))  # level n-1
-    field_pops = p_e * (p * cos2_a + shift_down(p * sin2_a)) + p_g * (
-        p * cos2_b + shift_up(p * sin2_b)
-    )
+    (excited, ground), field_pops = _ladder_populations(
+        p_e, field_state.probs, np.cos(alpha * t) ** 2, np.sin(alpha * t) ** 2,
+        np.cos(beta * t) ** 2, np.sin(beta * t) ** 2)
     return (float(excited), float(ground)), field_pops
 
 
@@ -347,7 +338,7 @@ def trajectory_data(
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
-    banded = _excitation_banded(sigma0)
+    banded = _excitation_banded(sigma0) and lapack_solver() == "dsbev"
     blocks = _pair_blocks(sigma0)
     band_map = _band_map(blocks) if full_verification and banded else None
     # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllStepsSkipped, InvalidParameter
-from .states import FieldDistribution, FloatArray, ladder
+from .states import FieldDistribution, FloatArray, _ladder_populations, ladder
 
 # Spectrum values below this are treated as exact zeros before taking logs;
 # it sits well above the eigensolver noise floor.
@@ -146,36 +146,24 @@ def purity_rate_exact(
     """Exact rates d(Tr rho_a^2)/dt and d(Tr rho_f^2)/dt at time ``t``.
 
     Valid for an atom starting exactly in the ground or excited state coupled
-    to a diagonal field, where the partial states stay diagonal and the rates
-    reduce to finite trigonometric sums over the truncated distribution.
+    to a diagonal field, where the partial states stay diagonal, so each rate
+    is 2 sum(population x its time derivative).  Both come from the closed-form
+    populations of ``dynamics.diagonal_evolve``, the derivatives by taking that
+    linear form on the time derivatives of its four ladder terms.
     """
-    p = np.asarray(field.probs, dtype=float)
+    if initial not in ("ground", "excited"):
+        raise InvalidParameter(f"initial must be 'ground' or 'excited', got {initial!r}")
+    p_e = 1.0 if initial == "excited" else 0.0
     alpha, beta = ladder(field.dim)
     t = float(t)
-    if initial == "ground":
-        sin2 = np.sin(beta * t) ** 2
-        cos2 = np.cos(beta * t) ** 2
-        ds = p * beta * np.sin(2 * beta * t)
-        a_pop = (p * sin2).sum()
-        b_pop = (p * cos2).sum()
-        d_atom = 2.0 * a_pop * ds.sum() - 2.0 * b_pop * ds.sum()
-        # f_n picks up the level above; the lump level has none.
-        up = np.append(ds[1:], 0.0)
-        f_diag = p * cos2 + np.append((p * sin2)[1:], 0.0)
-        d_field = 2.0 * ((up - ds) * f_diag).sum()
-        return float(d_atom), float(d_field)
-    if initial == "excited":
-        sin2 = np.sin(alpha * t) ** 2
-        cos2 = np.cos(alpha * t) ** 2
-        ds = p * alpha * np.sin(2 * alpha * t)
-        a_pop = (p * cos2).sum()
-        b_pop = (p * sin2).sum()
-        d_atom = -2.0 * a_pop * ds.sum() + 2.0 * b_pop * ds.sum()
-        down = np.concatenate(([0.0], ds[:-1]))
-        f_diag = p * cos2 + np.concatenate(([0.0], (p * sin2)[:-1]))
-        d_field = 2.0 * ((down - ds) * f_diag).sum()
-        return float(d_atom), float(d_field)
-    raise InvalidParameter(f"initial must be 'ground' or 'excited', got {initial!r}")
+    (excited, ground), f_pops = _ladder_populations(
+        p_e, field.probs, np.cos(alpha * t) ** 2, np.sin(alpha * t) ** 2,
+        np.cos(beta * t) ** 2, np.sin(beta * t) ** 2)
+    rate_a, rate_b = alpha * np.sin(2 * alpha * t), beta * np.sin(2 * beta * t)
+    (d_excited, d_ground), d_f = _ladder_populations(
+        p_e, field.probs, -rate_a, rate_a, -rate_b, rate_b)
+    d_atom = 2.0 * (excited * d_excited + ground * d_ground)
+    return float(d_atom), float(2.0 * (f_pops * d_f).sum())
 
 
 def purity_rate_approx(initial: str, n_bar: float, t: float) -> tuple[float, float]:

@@ -59,7 +59,7 @@ class ConservationViolation(ValidationError):
 
 
 class NoConvergence(RuntimeError):
-    """The eigensolver failed to converge."""
+    """The eigensolver failed to converge, or its LAPACK routine is missing."""
 
 
 class AllStepsSkipped(RuntimeError):

@@ -98,8 +98,8 @@ def _dsbev():
 
 
 def lapack_solver() -> str:
-    """"dsbev", or "eigvalsh" where numpy's LAPACK has no ``dsbev``: what
-    :func:`banded_eigvalsh` runs."""
+    """"dsbev", or "eigvalsh" where numpy's LAPACK has no ``dsbev``: what takes the band
+    spectra of a trajectory."""
     return "eigvalsh" if _dsbev() is None else "dsbev"
 
 
@@ -113,9 +113,8 @@ def banded_eigvalsh(band) -> FloatArray:
     only copies the band, and numpy's ``eigvalsh`` (``dsyevd``: ``dsytrd``,
     which leaves a tridiagonal matrix unchanged, then ``dsterf``) gives
     bit-identical eigenvalues; both rescale only a matrix whose largest entry
-    lies outside about 1e-146..1e146.  Where numpy's LAPACK has no ``dsbev``
-    the dense matrices go to :func:`eigvalsh`.  Raises :class:`NoConvergence`
-    if the solver fails.
+    lies outside about 1e-146..1e146.  Raises :class:`NoConvergence` if the
+    solver fails, or if numpy's LAPACK has no ``dsbev``.
     """
     band = np.array(band, dtype=np.float64, order="C")  # a copy, which dsbev overwrites
     if band.ndim != 3 or band.shape[2] < 1:
@@ -123,11 +122,7 @@ def banded_eigvalsh(band) -> FloatArray:
     count, dim, width = band.shape
     sbev = _dsbev()
     if sbev is None:
-        dense = np.zeros((count, dim, dim))
-        for offset in range(min(width, dim)):
-            i = np.arange(dim - offset)
-            dense[:, i + offset, i] = dense[:, i, i + offset] = band[:, : dim - offset, offset]
-        return eigvalsh(dense)
+        raise NoConvergence("dsbev: not in numpy's LAPACK; take the dense eigvalsh")
     w = np.empty((count, dim))
     work = np.empty(max(1, 3 * dim - 2))
     ints = np.array([dim, width - 1, width, 1, 0], np.int64)  # n, kd, ldab, ldz, info
@@ -184,6 +179,22 @@ def ladder(f_dim: int) -> tuple[FloatArray, FloatArray]:
     return alpha, np.sqrt(n)
 
 
+def _ladder_populations(p_e: float, probs, cos2_a, sin2_a, cos2_b, sin2_b):
+    """((excited, ground), per-level field populations) of a diagonal atom, excited
+    weight ``p_e``, on the diagonal field ``probs``: linear in the four ladder terms
+    cos^2 and sin^2 of alpha t and of beta t, so their time derivatives give the
+    populations' rates.  |e,n> keeps cos^2(alpha_n t) and hands sin^2(alpha_n t) to
+    |g,n+1>; |g,n> keeps cos^2(beta_n t) and hands sin^2(beta_n t) to |e,n-1>.
+    """
+    p = np.asarray(probs, dtype=float)
+    p_g = 1.0 - p_e
+    excited = p_e * (p * cos2_a).sum() + p_g * (p * sin2_b).sum()
+    ground = p_e * (p * sin2_a).sum() + p_g * (p * cos2_b).sum()
+    up = np.append((p * sin2_b)[1:], 0.0)  # from level n+1
+    down = np.concatenate(([0.0], (p * sin2_a)[:-1]))  # from level n-1
+    return (excited, ground), p_e * (p * cos2_a + down) + p_g * (p * cos2_b + up)
+
+
 @dataclass(frozen=True)
 class BlochParams:
     """Bloch-ball coordinates of a qubit state: vector length and two angles.
@@ -235,7 +246,7 @@ class DensityMatrix:
         return self.dims[0], self.dims[1]
 
 
-def validate_density(mat, dims: tuple[int, ...], trace_tol: float = TRACE_TOL) -> DensityMatrix:
+def validate_density(mat, dims: tuple[int, ...]) -> DensityMatrix:
     """Check Hermiticity, unit trace, and positivity; return the validated state.
 
     Raises :class:`NotHermitian`, :class:`TraceNotOne`, or :class:`NotPositive`
@@ -248,8 +259,8 @@ def validate_density(mat, dims: tuple[int, ...], trace_tol: float = TRACE_TOL) -
     if residual > HERMITICITY_TOL:
         raise NotHermitian(residual, HERMITICITY_TOL)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
-        raise TraceNotOne(tr, trace_tol)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise TraceNotOne(tr, TRACE_TOL)
     w = eigvalsh(m)
     if w[0] < PSD_FLOOR:
         raise NotPositive(float(w[0]), PSD_FLOOR)
@@ -353,17 +364,3 @@ def product_state(
     joint = np.kron(atom.mat, field_state.mat)
     return validate_density(joint, (2, field_state.dim))
 
-
-def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a joint state to one subsystem (``keep`` is "atom" or "field")."""
-    d_a, d_f = rho.require_joint()
-    blocks = rho.mat.reshape(d_a, d_f, d_a, d_f)
-    if keep == "atom":
-        reduced = np.einsum("ifjf->ij", blocks)
-        dims: tuple[int, ...] = (d_a,)
-    elif keep == "field":
-        reduced = np.einsum("aiaj->ij", blocks)
-        dims = (d_f,)
-    else:
-        raise InvalidParameter(f"keep must be 'atom' or 'field', got {keep!r}")
-    return validate_density(reduced, dims, trace_tol=1e-13)

@@ -8,9 +8,13 @@ eigensolves.  It shares no arithmetic with the engine's gauged rotations.
 
 import numpy as np
 
-from jcentropy import TrajectoryData, ladder, ppt_report
+from jcentropy import (InvalidParameter, TraceNotOne, TrajectoryData, ladder, ppt_report,
+                       validate_density)
 from jcentropy.entanglement import ARTIFACT_THRESHOLD, PptReport
 from jcentropy.entropy import entropy_from_spectrum
+
+# A partial trace keeps the trace of the joint state to rounding: tighter than TRACE_TOL.
+PARTIAL_TRACE_TOL = 1e-13
 
 
 def propagator_stack(f_dim: int, t_grid) -> np.ndarray:
@@ -30,6 +34,22 @@ def propagator_stack(f_dim: int, t_grid) -> np.ndarray:
     u[:, e_idx, g_idx[1:]] = -1j * s
     u[:, g_idx[1:], e_idx] = -1j * s
     return u
+
+
+def partial_trace(rho, keep: str):
+    """Reduce a joint state to one subsystem (``keep`` is "atom" or "field") by ``einsum``."""
+    d_a, d_f = rho.require_joint()
+    blocks = rho.mat.reshape(d_a, d_f, d_a, d_f)
+    if keep == "atom":
+        reduced, dims = np.einsum("ifjf->ij", blocks), (d_a,)
+    elif keep == "field":
+        reduced, dims = np.einsum("aiaj->ij", blocks), (d_f,)
+    else:
+        raise InvalidParameter(f"keep must be 'atom' or 'field', got {keep!r}")
+    trace = complex(np.trace(reduced))
+    if abs(trace - 1.0) > PARTIAL_TRACE_TOL:
+        raise TraceNotOne(trace, PARTIAL_TRACE_TOL)
+    return validate_density(reduced, dims)
 
 
 def dense_states(rho0, t_grid) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pure_product
-from dense_oracle import propagator_stack
+from dense_oracle import partial_trace, propagator_stack
 from jcentropy import (
     BlochParams,
     EntropySeries,
@@ -22,7 +22,6 @@ from jcentropy import (
     diagonal_evolve,
     evolve,
     exchange_parameter,
-    partial_trace,
     product_state,
     purity_rate_approx,
     purity_rate_exact,

@@ -371,6 +371,32 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "[FAIL] propagator_unitarity" in out
 
+    def test_refusing_check_fails_by_name(self, capsys, monkeypatch):
+        # every trajectory then refuses its drift: each check that runs one fails by name,
+        # and the others still run
+        monkeypatch.setattr(dynamics, "EXCITATION_DRIFT_TOL", 1e-16)
+        assert run(["selfcheck"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("[FAIL] excitation_conservation: excitation number drifted")
+                   for line in out)
+        assert len(out) == len(cli.SELFCHECKS) + 1
+        assert out[-1].startswith("selfcheck failed: ")
+        assert "excitation_conservation" in out[-1]
+
+    def test_oracle_check_reads_the_closed_form(self, capsys, monkeypatch):
+        closed_form = dynamics.diagonal_evolve
+
+        def shifted(p_e, field, t):
+            (excited, ground), field_pops = closed_form(p_e, field, t)
+            return (excited + 1e-9, ground + 1e-9), field_pops + 1e-9
+
+        monkeypatch.setattr(dynamics, "diagonal_evolve", shifted)
+        assert run(["selfcheck"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("[FAIL] diagonal_oracle_equivalence: residual=")
+                   for line in out)
+        assert out[-1] == "selfcheck failed: diagonal_oracle_equivalence"
+
 
 def test_float_formatting_17_digits():
     assert cli._fmt(1 / 3) == "0.33333333333333331"

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import dsbev_absent, dsbev_failing, random_density, random_pure_product
-from dense_oracle import dense_trajectory, excitation_expectation, propagator_stack, purity
+from dense_oracle import (dense_trajectory, excitation_expectation, partial_trace,
+                          propagator_stack, purity)
 from jcentropy import (
     BlochParams,
     EntropySeries,
@@ -22,7 +23,6 @@ from jcentropy import (
     evolve,
     exchange_parameter,
     ladder,
-    partial_trace,
     ppt_report,
     product_state,
     thermal_field,
@@ -287,7 +287,7 @@ class TestTrajectory:
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        # without dsbev the band spectra go to numpy's eigvalsh too
+        # without dsbev trajectory_data takes the dense route, numpy's eigvalsh throughout
         monkeypatch.setattr(states, "_dsbev", dsbev_absent)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):

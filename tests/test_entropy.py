@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from dense_oracle import purity
+from dense_oracle import partial_trace, purity
 from jcentropy import (
     AllStepsSkipped,
     BlochParams,
@@ -13,7 +13,6 @@ from jcentropy import (
     evolve,
     exchange_parameter,
     mutual_entropy_ratio,
-    partial_trace,
     product_state,
     purity_rate_approx,
     purity_rate_exact,

@@ -12,10 +12,12 @@ from jcentropy import (
     TrajectoryData,
     auto_truncate,
     bloch_qubit,
+    diagonal_evolve,
     dynamics,
     evolve,
     partial_transpose,
     product_state,
+    purity_rate_exact,
     run_sweep,
     thermal_field,
     trajectory_data,
@@ -132,3 +134,19 @@ def test_sweep_independent_of_worker_count(n_bar, theta_values, r_values, n_t):
     grid = SweepGrid(np.sort(theta_values), np.sort(r_values), n_bar, auto_truncate(n_bar),
                      0.1 * np.arange(n_t))
     assert run_sweep(grid, workers=1) == run_sweep(grid, workers=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["ground", "excited"]), st.floats(0.0, 3.0), st.integers(1, 30),
+       st.floats(0.0, 30.0))
+def test_purity_rates_are_the_derivative_of_the_closed_form(initial, n_bar, n_f, t):
+    # centred differences of the purities of diagonal_evolve's populations
+    field, p_e, h = thermal_field(n_bar, n_f), float(initial == "excited"), 1e-5
+
+    def purities(s):
+        (excited, ground), field_pops = diagonal_evolve(p_e, field, s)
+        return np.array([excited**2 + ground**2, (field_pops**2).sum()])
+
+    numeric = (purities(t + h) - purities(t - h)) / (2 * h)
+    rates = np.array(purity_rate_exact(initial, field, t))
+    assert np.all(np.abs(numeric - rates) < 1e-6 * np.maximum(1.0, np.abs(rates)))
