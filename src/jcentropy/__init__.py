@@ -39,6 +39,7 @@ from .errors import (
     NoConvergence,
     NotHermitian,
     NotPositive,
+    RangeViolation,
     TraceNotOne,
     ValidationError,
 )

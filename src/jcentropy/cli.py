@@ -12,8 +12,9 @@ flag names); outputs are deterministic byte for byte given a configuration.
 Run metadata that can vary between runs (wall time) goes to a sidecar JSON
 next to the data file, never into the CSV.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 configuration error,
-3 numerical validation failure, or a sweep in which no cell is ``ok``.
+Exit codes: 0 success, 1 selfcheck failure, 2 bad input (``ConfigError`` or
+any ``InvalidParameter``), 3 a computed fault (any ``ValidationError``) or a
+sweep in which no cell is ``ok``; ``errors`` states the contract.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, entanglement, entropy, sweep as sweep_mod
-from .errors import (
-    AllStepsSkipped,
-    DimensionMismatch,
-    InvalidParameter,
-    MissingFactorization,
-    NoConvergence,
-    ValidationError,
-)
+from .errors import AllStepsSkipped, InvalidParameter, ValidationError
 from .states import (
     BlochParams,
     auto_truncate,
@@ -301,7 +295,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_fixed_point(n_bar: float) -> int:
-    params = sweep_mod.fixed_point(n_bar)  # raises InvalidParameter for n_bar <= 0
+    params = sweep_mod.fixed_point(n_bar)
     p_e = (1.0 + params.r * np.sin(params.theta)) / 2.0
     payload = {
         "r": params.r,
@@ -447,7 +441,7 @@ def cmd_selfcheck() -> int:
     for name, func, tol in SELFCHECKS:
         try:
             residual = func()
-        except (ValidationError, NoConvergence) as exc:  # a check that refuses fails by name
+        except ValidationError as exc:  # a check that refuses fails by name
             print(f"[FAIL] {name}: {exc}")
             failed.append(name)
             continue
@@ -501,10 +495,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evolve":
             return cmd_evolve(cfg)
         return cmd_sweep(cfg)
-    except (ConfigError, InvalidParameter, DimensionMismatch, MissingFactorization) as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValidationError, NoConvergence, AllStepsSkipped) as exc:
+    except (ValidationError, AllStepsSkipped) as exc:
         print(f"numerical validation error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -306,6 +306,8 @@ def _validate_grid(t_grid) -> FloatArray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidParameter("t_grid must be a non-empty 1-d sequence")
+    if not np.isfinite(grid).all():
+        raise InvalidParameter("t_grid must hold finite samples")
     if grid[0] != 0.0:
         raise InvalidParameter(f"t_grid must start at 0, got {grid[0]}")
     if grid.size > 1 and np.min(np.diff(grid)) <= 0:

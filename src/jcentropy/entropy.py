@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllStepsSkipped, InvalidParameter
-from .states import FieldDistribution, FloatArray, _ladder_populations, ladder
+from .errors import AllStepsSkipped, InvalidParameter, RangeViolation
+from .states import FieldDistribution, FloatArray, _ladder_populations, ladder, require_n_bar
 
 # Spectrum values below this are treated as exact zeros before taking logs;
 # it sits well above the eigensolver noise floor.
 EIGENVALUE_CLAMP = 1e-14
+# Rounding a computed entropy may show below 0, and a computed purity above 1.
+RANGE_SLACK = 1e-12
 
 # Default guard for near-vanishing denominators in time-series ratios.
 DEFAULT_EPS = 1e-9
@@ -39,7 +41,8 @@ def entropy_from_spectrum(w) -> float:
 class EntropySeries:
     """Partial and joint entropies plus purities sampled along a trajectory.
 
-    Construction checks the lengths and the ranges of the columns.
+    Construction checks the lengths of the columns (:class:`InvalidParameter`)
+    and their ranges within ``RANGE_SLACK`` (:class:`RangeViolation`, NaN too).
     ``dynamics.TrajectoryData`` extends it with the other per-sample columns.
     """
 
@@ -57,12 +60,15 @@ class EntropySeries:
             if len(arr) != n:
                 raise InvalidParameter(f"{name} has length {len(arr)}, expected {n}")
         for name in ("s_atom", "s_field", "s_joint"):
-            if np.min(getattr(self, name)) < -1e-12:
-                raise InvalidParameter(f"{name} has an entropy below -1e-12")
+            low = np.min(getattr(self, name))
+            if not low >= -RANGE_SLACK:  # NaN too
+                raise RangeViolation(name, low, f"[{-RANGE_SLACK:.1e}, inf)")
         for name in ("purity_atom", "purity_field"):
             arr = getattr(self, name)
-            if np.min(arr) <= 0 or np.max(arr) > 1 + 1e-12:
-                raise InvalidParameter(f"{name} leaves (0, 1]")
+            low, high = np.min(arr), np.max(arr)
+            if not 0 < low <= high <= 1 + RANGE_SLACK:
+                raise RangeViolation(name, high if low > 0 else low,
+                                     f"(0, 1 + {RANGE_SLACK:.1e}]")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -173,8 +179,7 @@ def purity_rate_approx(initial: str, n_bar: float, t: float) -> tuple[float, flo
     when n_bar is small.  Ground start: the two rates are equal and opposite
     (entropy exchange); excited start: they are identical (co-fluctuation).
     """
-    if n_bar < 0:
-        raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
+    require_n_bar(n_bar)
     p0 = 1.0 / (n_bar + 1.0)
     p1 = n_bar / (n_bar + 1.0) ** 2
     t = float(t)

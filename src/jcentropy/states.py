@@ -267,6 +267,12 @@ def validate_density(mat, dims: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(m, tuple(int(d) for d in dims), w)
 
 
+def require_n_bar(n_bar: float) -> None:
+    """Raise :class:`InvalidParameter` unless the mean photon number is finite and >= 0."""
+    if not 0.0 <= n_bar < math.inf:  # NaN too
+        raise InvalidParameter(f"n_bar={n_bar} must be finite and >= 0")
+
+
 def _planck_prefix(n_bar: float, length: int) -> FloatArray:
     """Planck weights of Fock levels 0..length-1, each the previous one times the ratio."""
     ratio = n_bar / (n_bar + 1.0)
@@ -287,8 +293,7 @@ def thermal_field(n_bar: float, n_f: int) -> FieldDistribution:
     P_n = n_bar^n / (n_bar + 1)^(n+1) for n <= n_f; the residual mass goes to
     the lump level, so the probabilities sum to one exactly.
     """
-    if n_bar < 0:
-        raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
+    require_n_bar(n_bar)
     if n_f < 0:
         raise InvalidParameter(f"n_f={n_f} must be >= 0")
     n_f = int(n_f)
@@ -302,8 +307,7 @@ def auto_truncate(n_bar: float) -> int:
     distribution's von Neumann entropy by less than that.  The Planck weights
     are built once, doubling their length when the scan needs more.
     """
-    if n_bar < 0:
-        raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
+    require_n_bar(n_bar)
     from .entropy import entropy_from_spectrum  # deferred: entropy imports this module
 
     prefix = _planck_prefix(n_bar, 64)
@@ -329,8 +333,7 @@ def truncation_floor(n_bar: float) -> int:
     the last n_f whose exact change exceeds 4 TRUNCATION_TOL, which the scan
     cannot pass over.  The margin holds only at that tolerance, so it is fixed.
     """
-    if n_bar < 0:
-        raise InvalidParameter(f"n_bar={n_bar} must be >= 0")
+    require_n_bar(n_bar)
     r = n_bar / (n_bar + 1.0)
     if r == 0.0 or r == 1.0:  # vacuum, or n_bar past 2^53, where r rounds to 1
         return 1

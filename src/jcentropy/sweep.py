@@ -18,8 +18,9 @@ import numpy as np
 from . import dynamics
 from .entanglement import ARTIFACT_THRESHOLD, negativity_exponent
 from .entropy import DEFAULT_EPS, exchange_parameter, mutual_entropy_ratio
-from .errors import AllStepsSkipped, InvalidParameter, NoConvergence, ValidationError
-from .states import BlochParams, FloatArray, bloch_qubit, product_state, thermal_field
+from .errors import AllStepsSkipped, InvalidParameter, ValidationError
+from .states import (BlochParams, FloatArray, bloch_qubit, product_state, require_n_bar,
+                     thermal_field)
 
 # Every SPOT_CHECK_STRIDE-th cell runs with per-sample spectrum verification;
 # selection is deterministic so sweeps stay reproducible byte for byte.
@@ -47,8 +48,7 @@ class SweepGrid:
                 raise InvalidParameter(f"{name} must be strictly increasing")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "t_grid", dynamics._validate_grid(self.t_grid))
-        if not 0.0 <= self.n_bar < np.inf:  # NaN too
-            raise InvalidParameter(f"n_bar={self.n_bar} must be finite and >= 0")
+        require_n_bar(self.n_bar)
         if self.n_f < 1:
             raise InvalidParameter(f"n_f={self.n_f} must be >= 1")
         if self.r_values[0] <= 0 or self.r_values[-1] > 1:
@@ -108,8 +108,9 @@ def fixed_point(n_bar: float) -> BlochParams:
     At this point the excited/ground ratio equals n_bar / (n_bar + 1), both
     partial states are stationary under the evolution, and no entropy moves.
     """
-    if n_bar <= 0:
-        raise InvalidParameter(f"n_bar={n_bar} must be positive")
+    require_n_bar(n_bar)
+    if n_bar == 0.0:
+        raise InvalidParameter("n_bar=0.0 must be positive: the vacuum has no fixed point")
     p_ground = (n_bar + 1.0) / (2.0 * n_bar + 1.0)
     return BlochParams(r=2.0 * p_ground - 1.0, theta=-np.pi / 2, phi=0.0)
 
@@ -131,13 +132,9 @@ def _evaluate_cell(
     try:
         atom = bloch_qubit(BlochParams(r=r, theta=theta, phi=0.0))
         joint = product_state(atom, thermal_field(grid.n_bar, grid.n_f))
-        data = dynamics.trajectory_data(
-            joint,
-            grid.t_grid,
-            ppt="ppt" in diagnostics,
-            artifact_threshold=artifact_threshold,
-            full_verification=full_verification,
-        )
+        data = dynamics.trajectory_data(joint, grid.t_grid, ppt="ppt" in diagnostics,
+                                        artifact_threshold=artifact_threshold,
+                                        full_verification=full_verification)
         if "exchange" in diagnostics:
             try:
                 p = exchange_parameter(data, eps).p
@@ -153,29 +150,19 @@ def _evaluate_cell(
             worst = float(data.min_transpose_eigenvalue.min())
             art = float(data.artifact_magnitude.max())
             e = negativity_exponent(float(data.lambda_m.mean()))
-    except (ValidationError, InvalidParameter, NoConvergence) as exc:
+    except (ValidationError, InvalidParameter) as exc:
         status.append(f"error:{type(exc).__name__}")
-    return SweepCell(
-        theta=float(theta),
-        r=float(r),
-        p=p,
-        r_bar=r_bar,
-        e=e,
-        n_significant_negatives=n_sig,
-        worst_negative=worst,
-        artifact_magnitude=art,
-        status="+".join(status) if status else "ok",
-    )
+    return SweepCell(theta=float(theta), r=float(r), p=p, r_bar=r_bar, e=e,
+                     n_significant_negatives=n_sig, worst_negative=worst,
+                     artifact_magnitude=art, status="+".join(status) if status else "ok")
 
 
 _WORKER_ARGS: dict = {}
 
 
 def _init_worker(grid, diagnostics, eps, artifact_threshold):
-    _WORKER_ARGS["grid"] = grid
-    _WORKER_ARGS["diagnostics"] = diagnostics
-    _WORKER_ARGS["eps"] = eps
-    _WORKER_ARGS["artifact_threshold"] = artifact_threshold
+    _WORKER_ARGS.update(grid=grid, diagnostics=diagnostics, eps=eps,
+                        artifact_threshold=artifact_threshold)
 
 
 def _cell_by_index(index: int) -> SweepCell:
@@ -183,15 +170,9 @@ def _cell_by_index(index: int) -> SweepCell:
     n_r = len(grid.r_values)
     theta = grid.theta_values[index // n_r]
     r = grid.r_values[index % n_r]
-    return _evaluate_cell(
-        theta,
-        r,
-        grid,
-        _WORKER_ARGS["diagnostics"],
-        _WORKER_ARGS["eps"],
-        _WORKER_ARGS["artifact_threshold"],
-        full_verification=(index % SPOT_CHECK_STRIDE == 0),
-    )
+    return _evaluate_cell(theta, r, grid, _WORKER_ARGS["diagnostics"], _WORKER_ARGS["eps"],
+                          _WORKER_ARGS["artifact_threshold"],
+                          full_verification=(index % SPOT_CHECK_STRIDE == 0))
 
 
 def run_sweep(

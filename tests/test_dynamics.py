@@ -293,6 +293,12 @@ class TestTrajectory:
         with pytest.raises(NoConvergence):
             trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, 1.0, np.inf]], ids=str)
+    def test_non_finite_time_is_refused_as_input(self, ground_joint, t_grid):
+        # refused before any rotation, whose cos(inf) = NaN would reach the eigensolver
+        with pytest.raises(InvalidParameter, match="t_grid must hold finite samples"):
+            trajectory_data(ground_joint, np.array(t_grid))
+
     def test_grid_validation(self, ground_joint):
         with pytest.raises(InvalidParameter):
             trajectory_data(ground_joint, np.array([0.5, 1.0]))

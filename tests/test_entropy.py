@@ -8,6 +8,7 @@ from jcentropy import (
     BlochParams,
     EntropySeries,
     InvalidParameter,
+    RangeViolation,
     bloch_qubit,
     entropy_from_spectrum,
     evolve,
@@ -284,7 +285,8 @@ class TestEntropySeriesValidation:
             )
 
     def test_negative_entropy_rejected(self):
-        with pytest.raises(InvalidParameter):
+        # a computed fault, even in a series built from the caller's own arrays
+        with pytest.raises(RangeViolation, match=r"s_atom reaches -1\.000e-06"):
             EntropySeries(
                 t=np.array([0.0, 1.0]),
                 s_atom=np.array([0.0, -1e-6]),

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,12 +17,15 @@ from jcentropy import (
     NoConvergence,
     NotHermitian,
     NotPositive,
+    SweepGrid,
     TraceNotOne,
     auto_truncate,
     bloch_qubit,
     eigvalsh,
     entropy_from_spectrum,
+    fixed_point,
     product_state,
+    purity_rate_approx,
     thermal_field,
     validate_density,
 )
@@ -131,6 +135,22 @@ class TestAutoTruncate:
     def test_converged_tail_is_negligible(self):
         n_f = auto_truncate(0.1)
         assert thermal_field(0.1, n_f).tail_mass < 1e-14
+
+
+@pytest.mark.parametrize("n_bar", [np.nan, np.inf, -0.1], ids=str)
+@pytest.mark.parametrize("call", [
+    lambda n_bar: thermal_field(n_bar, 5),
+    auto_truncate,
+    truncation_floor,
+    lambda n_bar: purity_rate_approx("ground", n_bar, 1.0),
+    lambda n_bar: SweepGrid(np.zeros(1), np.ones(1), n_bar, 4, np.zeros(1)),
+    fixed_point,
+], ids=["thermal_field", "auto_truncate", "truncation_floor", "purity_rate_approx",
+        "SweepGrid", "fixed_point"])
+def test_n_bar_domain_has_one_check(call, n_bar):
+    # `n_bar < 0` is false for NaN: past it come NaN probabilities, n_f = 1, NaN rates
+    with pytest.raises(InvalidParameter, match=re.escape(f"n_bar={n_bar} must be finite and")):
+        call(n_bar)
 
 
 class TestBlochQubit:

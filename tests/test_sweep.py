@@ -123,13 +123,6 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter, match="diagnostics"):
             run_sweep(small_grid(), (), workers=1)
 
-    def test_excitation_drift_is_cell_error(self, monkeypatch):
-        # every trajectory checks its excitation number, spot-checked cell 0 or not
-        monkeypatch.setattr(dynamics, "EXCITATION_DRIFT_TOL", -1.0)
-        cells = run_sweep(small_grid(), ("exchange",), workers=1)
-        assert {c.status for c in cells} == {"error:ConservationViolation"}
-        assert all(c.p is None for c in cells)
-
     @pytest.mark.parametrize("diagnostic,knob", [("exchange", "eps"), ("mutual", "eps"),
                                                  ("ppt", "artifact_threshold")])
     def test_nan_threshold_is_cell_error(self, diagnostic, knob):
@@ -138,14 +131,6 @@ class TestRunSweep:
         grid = small_grid(theta_values=np.array([np.pi / 2]), r_values=np.array([0.9]))
         (cell,) = run_sweep(grid, (diagnostic,), workers=1, **{knob: np.nan})
         assert cell.status == "error:InvalidParameter"
-
-    def test_solver_failure_is_cell_error(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        cells = run_sweep(small_grid(), ("exchange",), workers=1)
-        assert {c.status for c in cells} == {"error:NoConvergence"}
 
     def test_sterf_failure_is_cell_error(self, monkeypatch):
         # every cell solves its field spectra with dsbev at half-bandwidth 1
@@ -170,7 +155,8 @@ class TestGridValidation:
         with pytest.raises(InvalidParameter):
             small_grid(r_values=np.array([0.9, 0.3]))
 
-    @pytest.mark.parametrize("t_grid", [[0.5, 1.0, 1.5], [0.0, 1.0, 0.5], [], [[0.0, 1.0]]])
+    @pytest.mark.parametrize("t_grid", [[0.5, 1.0, 1.5], [0.0, 1.0, 0.5], [], [[0.0, 1.0]],
+                                        [0.0, np.nan], [0.0, 1.0, np.inf]])
     def test_time_grid_refused_as_the_engine_refuses_it(self, t_grid):
         # not accepted here and then refused in every cell
         with pytest.raises(InvalidParameter, match="t_grid"):
