@@ -7,8 +7,9 @@ Subcommands::
     fixed-point  stationary atomic state for a given mean photon number -> JSON
     selfcheck    run the built-in invariant suite
 
-Flags override config-file keys (flat ``key = value`` lines mirroring the
-flag names); outputs are deterministic byte for byte given a configuration.
+Flags override config-file keys (flat ``key = value`` lines); each flag and
+key is a field of ``RunConfig``, the one option table, with ``-`` for ``_``.
+Outputs are deterministic byte for byte given a configuration.
 Run metadata that can vary between runs (wall time) goes to a sidecar JSON
 next to the data file, never into the CSV.
 
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,55 +69,76 @@ class ConfigError(Exception):
     """Bad flag or config-file value; the message names the offending field."""
 
 
-@dataclass
-class RunConfig:
-    n_bar: float = 0.1
-    n_f: int | str = "auto"
-    atom: str = "ground"
-    t_max: float = 25.0
-    dt: float = 0.01
-    eps: float = entropy.DEFAULT_EPS
-    artifact_threshold: float = entanglement.ARTIFACT_THRESHOLD
-    diagnostics: tuple[str, ...] = ("exchange", "mutual", "ppt")
-    grid: tuple[int, int] = (51, 51)
-    workers: int = 1
-    out: str | None = None
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
-    def validate(self) -> "RunConfig":
-        if self.n_bar < 0:
-            raise ConfigError(f"n-bar: {self.n_bar} must be >= 0")
-        if self.n_f != "auto" and (not isinstance(self.n_f, int) or self.n_f < 1):
-            raise ConfigError(f"n-f: {self.n_f!r} must be 'auto' or an integer >= 1")
-        if self.dt <= 0:
-            raise ConfigError(f"dt: {self.dt} must be positive")
-        if self.t_max < self.dt:
-            raise ConfigError(f"t-max: {self.t_max} must be >= dt")
-        if not math.isfinite(self.t_max / self.dt):
-            raise ConfigError(f"dt: {self.dt} gives more samples than a float can count")
-        for name in ("eps", "artifact_threshold"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name.replace('_', '-')}: must be positive")
-        if not self.diagnostics or set(self.diagnostics) - sweep_mod.DIAGNOSTICS:
-            raise ConfigError(f"diagnostics: {list(self.diagnostics)} is not one or more of "
-                              f"{sorted(sweep_mod.DIAGNOSTICS)}")
-        if self.grid[0] < 1 or self.grid[1] < 1:
-            raise ConfigError(f"grid: {self.grid} must be at least 1x1")
-        if self.workers < 1:
-            raise ConfigError(f"workers: {self.workers} must be >= 1")
-        return self
+
+def _parse_n_f(text: str) -> int | str:
+    if text != "auto" and int(text) < 1:
+        raise ValueError("must be 'auto' or an integer >= 1")
+    return text if text == "auto" else int(text)
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    a, _, b = text.lower().partition("x")
+    return int(a), int(b)
+
+
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+EVOLVE_SWEEP = ("evolve", "sweep")
+
+
+def _option(default, parse, commands, help_text):
+    """A ``RunConfig`` field: its default, the parser of its text, the subcommands that
+    take it (and echo it in the sidecar), and the flag's help."""
+    return dataclasses.field(default=default,
+                             metadata={"parse": parse, "commands": commands, "help": help_text})
+
+
+def _key(option) -> str:
+    """The flag, without its ``--``, and the config-file key of a ``RunConfig`` field."""
+    return option.name.replace("_", "-")
+
+
+@dataclasses.dataclass
+class RunConfig:
+    """The one option table of ``evolve`` and ``sweep``.  Its parsers check only what they
+    read; the library checks each value where it first takes it (``InvalidParameter``)."""
+
+    n_bar: float = _option(0.1, _finite_float, EVOLVE_SWEEP, "mean thermal photon number")
+    n_f: int | str = _option("auto", _parse_n_f, EVOLVE_SWEEP,
+                             "field truncation: auto or an integer >= 1")
+    atom: str = _option("ground", str, ("evolve",), "ground | excited | r=..,theta=..[,phi=..]")
+    t_max: float = _option(25.0, _finite_float, EVOLVE_SWEEP, "last sample time")
+    dt: float = _option(0.01, _finite_float, EVOLVE_SWEEP, "sample spacing")
+    eps: float = _option(entropy.DEFAULT_EPS, _finite_float, ("sweep",),
+                         "entropy-change noise threshold")
+    artifact_threshold: float = _option(
+        entanglement.ARTIFACT_THRESHOLD, _finite_float, EVOLVE_SWEEP,
+        "PT eigenvalue magnitude below which a negative is an artifact")
+    diagnostics: tuple[str, ...] = _option(("exchange", "mutual", "ppt"), _parse_list,
+                                           ("sweep",), "comma list from: exchange,mutual,ppt")
+    grid: tuple[int, int] = _option((51, 51), _parse_grid, ("sweep",), "resolution, e.g. 51x51")
+    workers: int = _option(1, int, ("sweep",), "worker processes")
+    out: str | None = _option(None, str, EVOLVE_SWEEP, "output CSV path")
 
     def resolved_n_f(self) -> int:
         if self.n_f != "auto":
-            return int(self.n_f)
+            return self.n_f
         # the scan is quadratic in n_f: refuse on its closed-form floor before running it
         dynamics.require_memory(truncation_floor(self.n_bar) + 2)
         return auto_truncate(self.n_bar)
 
-    def samples(self) -> int:
-        return dynamics.sample_count(self.t_max, self.dt)
 
-    def time_grid(self) -> np.ndarray:
-        return dynamics.time_grid(self.t_max, self.dt)
+def _options(command: str) -> list[dataclasses.Field]:
+    """The ``RunConfig`` fields that ``command`` takes."""
+    return [opt for opt in dataclasses.fields(RunConfig) if command in opt.metadata["commands"]]
 
 
 def _parse_atom(text: str) -> BlochParams:
@@ -138,12 +160,7 @@ def _parse_atom(text: str) -> BlochParams:
             raise ConfigError(f"atom: {key}={raw!r} is not a number") from None
     if "r" not in values or "theta" not in values:
         raise ConfigError(f"atom: {text!r} needs at least r= and theta=")
-    try:
-        return BlochParams(
-            r=values["r"], theta=values["theta"], phi=values.get("phi", 0.0)
-        )
-    except InvalidParameter as exc:
-        raise ConfigError(f"atom: {exc}") from exc
+    return BlochParams(r=values["r"], theta=values["theta"], phi=values.get("phi", 0.0))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -163,62 +180,23 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    a, _, b = text.lower().partition("x")
-    return int(a), int(b)
-
-
-def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
-
-
-EVOLVE_SWEEP = ("evolve", "sweep")
-
-# One row per option: the flag and config-file key, the RunConfig field, the
-# parser of its text, the subcommands that take it (and echo it in the
-# sidecar), and the flag's help.
-OPTIONS = [
-    ("n-bar", "n_bar", _finite_float, EVOLVE_SWEEP, "mean thermal photon number"),
-    ("n-f", "n_f", lambda v: v if v == "auto" else int(v), EVOLVE_SWEEP,
-     "field truncation: auto or an integer >= 1"),
-    ("atom", "atom", str, ("evolve",), "ground | excited | r=..,theta=..[,phi=..]"),
-    ("t-max", "t_max", _finite_float, EVOLVE_SWEEP, "last sample time"),
-    ("dt", "dt", _finite_float, EVOLVE_SWEEP, "sample spacing"),
-    ("eps", "eps", _finite_float, ("sweep",), "entropy-change noise threshold"),
-    ("artifact-threshold", "artifact_threshold", _finite_float, EVOLVE_SWEEP,
-     "PT eigenvalue magnitude below which a negative is an artifact"),
-    ("diagnostics", "diagnostics", _parse_list, ("sweep",),
-     "comma list from: exchange,mutual,ppt"),
-    ("grid", "grid", _parse_grid, ("sweep",), "resolution, e.g. 51x51"),
-    ("workers", "workers", int, ("sweep",), "worker processes"),
-    ("out", "out", str, EVOLVE_SWEEP, "output CSV path"),
-]
-
-
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then flags, each parsed by its table row."""
-    cfg = RunConfig()
+    """Defaults, then config-file values, then flags, each parsed by its option's parser."""
     from_file = _read_config_file(args.config) if args.config else {}
-    known = {key for key, _, _, commands, _ in OPTIONS if args.command in commands}
+    options = {_key(option): option for option in _options(args.command)}
     for key in from_file:
-        if key not in known:
+        if key not in options:
             raise ConfigError(f"config: unknown key {key!r} for {args.command}")
-    for key, field, parse, _, _ in OPTIONS:
-        for raw in (from_file.get(key), getattr(args, field, None)):
+    values = {}
+    for key, option in options.items():
+        for raw in (from_file.get(key), getattr(args, option.name)):
             if raw is None:
                 continue
             try:
-                setattr(cfg, field, parse(raw))
+                values[option.name] = option.metadata["parse"](raw)
             except ValueError as exc:
                 raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
-    return cfg.validate()
+    return RunConfig(**values)
 
 
 def _write(path: str, text: str) -> None:
@@ -234,11 +212,7 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
     """The CSV, then the sidecar holding what can vary between runs."""
     _write(cfg.out, "\n".join(lines) + "\n")
     meta = {
-        "config": {
-            field: getattr(cfg, field)
-            for _, field, _, commands, _ in OPTIONS
-            if command in commands
-        },
+        "config": {option.name: getattr(cfg, option.name) for option in _options(command)},
         "chosen_n_f": n_f,
         "tail_mass": tail_mass,
         "wall_time_s": time.monotonic() - start,
@@ -256,10 +230,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
     atom = bloch_qubit(_parse_atom(cfg.atom))
-    samples = cfg.samples()
+    samples = dynamics.sample_count(cfg.t_max, cfg.dt)
     dynamics.require_memory(field.dim, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
     joint = product_state(atom, field)
-    data = dynamics.trajectory_data(joint, cfg.time_grid(), ppt=True,
+    data = dynamics.trajectory_data(joint, dynamics.time_grid(cfg.t_max, cfg.dt), ppt=True,
                                     artifact_threshold=cfg.artifact_threshold)
     ds_a = data.s_atom - data.s_atom[0]
     ds_f = data.s_field - data.s_field[0]
@@ -276,8 +250,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
     field = thermal_field(cfg.n_bar, n_f)
-    # run_sweep checks this too, once the time grid it is given exists
-    dynamics.require_memory(field.dim, min(cfg.workers, math.prod(cfg.grid)), cfg.samples())
     grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
                                 artifact_threshold=cfg.artifact_threshold, workers=cfg.workers)
@@ -468,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for p in data_commands.values():
         p.add_argument("--config", help="flat key=value config file")
-    for key, field, _, commands, help_text in OPTIONS:
-        for command in commands:
-            data_commands[command].add_argument(f"--{key}", dest=field, help=help_text)
+    for option in dataclasses.fields(RunConfig):
+        for command in option.metadata["commands"]:
+            data_commands[command].add_argument(f"--{_key(option)}", dest=option.name,
+                                                help=option.metadata["help"])
 
     p_fp = sub.add_parser("fixed-point", help="stationary atomic state as JSON")
     p_fp.add_argument("--n-bar", type=_finite_float, dest="n_bar", required=True)

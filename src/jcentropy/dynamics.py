@@ -51,7 +51,8 @@ from .errors import (ConservationViolation, InsufficientMemory, InvalidParameter
                      NotPositive, TraceNotOne)
 from .states import (EXCITATION_DRIFT_TOL, HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING,
                      TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, _ladder_populations,
-                     banded_eigvalsh, eigvalsh, ladder, lapack_solver, validate_density)
+                     banded_eigvalsh, eigvalsh, ladder, lapack_solver, require_finite,
+                     validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -242,6 +243,7 @@ def require_memory(f_dim: int, workers: int = 1, samples: int = 0, extra: int = 
 
 def evolve(rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Rotate the gauged state to time ``t``, undo the gauge and revalidate."""
+    require_finite("t", t)
     sigma0, omega = _gauged(rho0)
     blocks = _pair_blocks(sigma0)
     sigma = np.zeros_like(sigma0)
@@ -263,6 +265,7 @@ def diagonal_evolve(
     """
     if not 0.0 <= p_e <= 1.0:
         raise InvalidParameter(f"p_e={p_e} outside [0, 1]")
+    require_finite("t", t)
     t = float(t)
     alpha, beta = ladder(field_state.dim)
     (excited, ground), field_pops = _ladder_populations(
@@ -292,8 +295,16 @@ class TrajectoryData(EntropySeries):
 
 
 def sample_count(t_max: float, dt: float) -> int:
-    """The length of :func:`time_grid`, counted without building it."""
-    return math.ceil((t_max + dt / 2) / dt)
+    """The length of :func:`time_grid`, counted without building it: at least 2, as it
+    refuses a ``dt`` that is not positive, ``t_max < dt`` and a count no float holds."""
+    if not dt > 0:  # NaN too
+        raise InvalidParameter(f"dt={dt} must be positive")
+    if not t_max >= dt:
+        raise InvalidParameter(f"t_max={t_max} must be >= dt={dt}")
+    count = (t_max + dt / 2) / dt
+    if not math.isfinite(count):
+        raise InvalidParameter(f"dt={dt} gives more samples to t_max={t_max} than a float holds")
+    return math.ceil(count)
 
 
 def time_grid(t_max: float, dt: float) -> FloatArray:
@@ -306,8 +317,7 @@ def _validate_grid(t_grid) -> FloatArray:
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidParameter("t_grid must be a non-empty 1-d sequence")
-    if not np.isfinite(grid).all():
-        raise InvalidParameter("t_grid must hold finite samples")
+    require_finite("t_grid", grid)
     if grid[0] != 0.0:
         raise InvalidParameter(f"t_grid must start at 0, got {grid[0]}")
     if grid.size > 1 and np.min(np.diff(grid)) <= 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, TraceNotOne
-from .states import ComplexMatrix, FloatArray, eigvalsh
+from .errors import TraceNotOne
+from .states import ComplexMatrix, FloatArray, eigvalsh, require_positive
 
 # Well above the observed artifact scale (1e-16 .. 1e-18 at the default
 # truncation) and below any physical negativity at these dimensions.
@@ -71,8 +71,7 @@ def ppt_report(
     Raises :class:`TraceNotOne` when an eigenvalue sum of the partial
     transpose leaves 1 by more than ``PT_TRACE_TOL``.
     """
-    if not threshold > 0:  # NaN too
-        raise InvalidParameter(f"threshold={threshold} must be positive")
+    require_positive("artifact_threshold", threshold)
     w = eigvalsh(partial_transpose(mat, dims))
     totals = np.ravel(w.sum(axis=-1))
     worst = totals[np.argmax(np.abs(totals - 1.0))]

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllStepsSkipped, InvalidParameter, RangeViolation
-from .states import FieldDistribution, FloatArray, _ladder_populations, ladder, require_n_bar
+from .states import (FieldDistribution, FloatArray, _ladder_populations, ladder, require_finite,
+                     require_n_bar, require_positive)
 
 # Spectrum values below this are treated as exact zeros before taking logs;
 # it sits well above the eigensolver noise floor.
@@ -105,8 +106,7 @@ def exchange_parameter(series: EntropySeries, eps: float = DEFAULT_EPS) -> Excha
     """
     if len(series) < 2:
         raise InvalidParameter("series needs at least two samples")
-    if not eps > 0:  # NaN too
-        raise InvalidParameter(f"eps={eps} must be positive")
+    require_positive("eps", eps)
     da = np.diff(series.s_atom)
     df = np.diff(series.s_field)
     keep = np.maximum(np.abs(da), np.abs(df)) >= eps
@@ -133,8 +133,7 @@ def mutual_entropy_ratio(series: EntropySeries, eps: float = DEFAULT_EPS) -> Mut
     at that instant.  Samples whose smaller partial entropy is below ``eps``
     are skipped; raises :class:`AllStepsSkipped` if none remain.
     """
-    if not eps > 0:  # NaN too
-        raise InvalidParameter(f"eps={eps} must be positive")
+    require_positive("eps", eps)
     mutual = series.s_atom + series.s_field - series.s_joint
     smaller = np.minimum(series.s_atom, series.s_field)
     keep = smaller >= eps
@@ -159,6 +158,7 @@ def purity_rate_exact(
     """
     if initial not in ("ground", "excited"):
         raise InvalidParameter(f"initial must be 'ground' or 'excited', got {initial!r}")
+    require_finite("t", t)
     p_e = 1.0 if initial == "excited" else 0.0
     alpha, beta = ladder(field.dim)
     t = float(t)
@@ -180,6 +180,7 @@ def purity_rate_approx(initial: str, n_bar: float, t: float) -> tuple[float, flo
     (entropy exchange); excited start: they are identical (co-fluctuation).
     """
     require_n_bar(n_bar)
+    require_finite("t", t)
     p0 = 1.0 / (n_bar + 1.0)
     p1 = n_bar / (n_bar + 1.0) ** 2
     t = float(t)

@@ -273,6 +273,19 @@ def require_n_bar(n_bar: float) -> None:
         raise InvalidParameter(f"n_bar={n_bar} must be finite and >= 0")
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise :class:`InvalidParameter` naming ``name`` unless ``value`` is > 0 (NaN is not)."""
+    if not value > 0:
+        raise InvalidParameter(f"{name}={value} must be positive")
+
+
+def require_finite(name: str, values) -> None:
+    """Raise :class:`InvalidParameter` naming ``name`` unless ``values``, one number or an
+    array (a time or a time grid), are all finite."""
+    if not np.isfinite(values).all():
+        raise InvalidParameter(f"{name} must be finite")
+
+
 def _planck_prefix(n_bar: float, length: int) -> FloatArray:
     """Planck weights of Fock levels 0..length-1, each the previous one times the ratio."""
     ratio = n_bar / (n_bar + 1.0)

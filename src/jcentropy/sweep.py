@@ -3,9 +3,9 @@
 Each grid cell evolves one initial product state over the full time grid and
 reduces the trajectory to scalar diagnostics.  Cells are independent work
 items: results are ordered theta-major by construction and are bitwise
-identical for any worker count.  Numerical failures inside a cell (for
-example the exactly stationary state, whose entropy increments all vanish)
-are recorded in the cell status instead of aborting the sweep.
+identical for any worker count.  A computed fault (``error:<Class>``) or a
+diagnostic without signal (the exactly stationary state has no entropy
+increments) is recorded in the cell status; bad input refuses the call.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from . import dynamics
 from .entanglement import ARTIFACT_THRESHOLD, negativity_exponent
 from .entropy import DEFAULT_EPS, exchange_parameter, mutual_entropy_ratio
 from .errors import AllStepsSkipped, InvalidParameter, ValidationError
-from .states import (BlochParams, FloatArray, bloch_qubit, product_state, require_n_bar,
-                     thermal_field)
+from .states import (BlochParams, FloatArray, bloch_qubit, product_state, require_finite,
+                     require_n_bar, require_positive, thermal_field)
 
 # Every SPOT_CHECK_STRIDE-th cell runs with per-sample spectrum verification;
 # selection is deterministic so sweeps stay reproducible byte for byte.
@@ -42,6 +42,7 @@ class SweepGrid:
     def __post_init__(self):
         for name in ("theta_values", "r_values"):
             arr = np.asarray(getattr(self, name), dtype=float)
+            require_finite(name, arr)
             if arr.size == 0:
                 raise InvalidParameter(f"{name} must be non-empty")
             if arr.size > 1 and np.min(np.diff(arr)) <= 0:
@@ -91,8 +92,12 @@ def default_grid(
     t_max: float = 25.0,
     dt: float = 0.01,
 ) -> SweepGrid:
-    """Standard sweep: theta across the full band, r in [0.02, 1]."""
+    """Standard sweep: theta across the full band, r in [0.02, 1].  Refuses a resolution
+    below 1x1, and a trajectory too large for memory before allocating the time grid."""
     n_theta, n_r = resolution
+    if n_theta < 1 or n_r < 1:
+        raise InvalidParameter(f"grid resolution {resolution} must be at least 1x1")
+    dynamics.require_memory(n_f + 2, samples=dynamics.sample_count(t_max, dt))
     return SweepGrid(
         theta_values=np.linspace(-np.pi / 2, np.pi / 2, n_theta),
         r_values=np.linspace(0.02, 1.0, n_r),
@@ -150,7 +155,7 @@ def _evaluate_cell(
             worst = float(data.min_transpose_eigenvalue.min())
             art = float(data.artifact_magnitude.max())
             e = negativity_exponent(float(data.lambda_m.mean()))
-    except (ValidationError, InvalidParameter) as exc:
+    except ValidationError as exc:
         status.append(f"error:{type(exc).__name__}")
     return SweepCell(theta=float(theta), r=float(r), p=p, r_bar=r_bar, e=e,
                      n_significant_negatives=n_sig, worst_negative=worst,
@@ -184,7 +189,8 @@ def run_sweep(
 ) -> list[SweepCell]:
     """Evaluate every (theta, r) cell; theta-major order, deterministic output.
 
-    ``workers`` caps the process pool; the result does not depend on it.
+    ``workers`` caps the process pool; the result does not depend on it.  Bad
+    input raises :class:`InvalidParameter` before any cell runs.
     """
     diagnostics = frozenset(diagnostics)
     if not diagnostics or diagnostics - DIAGNOSTICS:
@@ -192,6 +198,10 @@ def run_sweep(
                                f"{sorted(DIAGNOSTICS)}")
     if workers < 1:
         raise InvalidParameter(f"workers={workers} must be >= 1")
+    require_positive("eps", eps)
+    require_positive("artifact_threshold", artifact_threshold)
+    if "exchange" in diagnostics and grid.t_grid.size < 2:
+        raise InvalidParameter("exchange: t_grid needs at least two samples")
     dynamics.require_memory(grid.n_f + 2, min(workers, grid.n_cells), grid.t_grid.size)
 
     indices = range(grid.n_cells)

@@ -3,8 +3,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from jcentropy import cli, dynamics
 from jcentropy.states import lapack_solver
@@ -175,10 +173,35 @@ def test_time_grid_too_long_is_refused_before_allocation(command, t_max, dt, tmp
     assert not out.exists()
 
 
-@given(st.floats(1e-3, 10.0), st.floats(1.0, 1e4))
-def test_sample_count_is_time_grid_length(dt, span):
-    cfg = cli.RunConfig(t_max=dt * span, dt=dt)
-    assert cfg.samples() == len(cfg.time_grid())
+# Each input the library refuses, and the start of its message: the flag's field, named
+REFUSED = [
+    (["--n-bar", "-1"], "n_bar=-1.0 must be finite and >= 0"),
+    (["--n-f", "0"], "n-f: cannot parse '0' (must be 'auto' or an integer >= 1)"),
+    (["--dt", "0"], "dt=0.0 must be positive"),
+    (["--t-max", "0.001"], "t_max=0.001 must be >= dt=0.01"),
+    (["--t-max", "1e300", "--dt", "1e-300"], "dt=1e-300 gives more samples to t_max=1e+300"),
+    (["--eps", "0"], "eps=0.0 must be positive"),
+    (["--artifact-threshold", "-1"], "artifact_threshold=-1.0 must be positive"),
+    (["--diagnostics", "bogus"], "diagnostics ['bogus']: not one or more of"),
+    (["--grid", "0x3"], "grid resolution (0, 3) must be at least 1x1"),
+    (["--workers", "0"], "workers=0 must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    pytest.param(command, flags, message, id=" ".join([command, *flags]))
+    for command in ("evolve", "sweep")
+    for flags, message in REFUSED
+    if {f"--{cli._key(option)}" for option in cli._options(command)}.issuperset(flags[::2])
+])
+def test_refused_input_exits_config(command, flags, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run([command, *flags, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestOutputErrors:
@@ -324,7 +347,7 @@ def test_non_finite_value_names_field(key, tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     # each subcommand gets only the options it takes; a 1x1 grid keeps a sweep small
     for command, extra in (("evolve", []), ("sweep", ["--grid", "1x1"])):
-        taken = {k for k, _, _, commands, _ in cli.OPTIONS if command in commands}
+        taken = {cli._key(option) for option in cli._options(command)}
         if key not in taken:
             continue
         for text in ("nan", "inf", "-inf"):

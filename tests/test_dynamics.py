@@ -1,7 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import dsbev_absent, dsbev_failing, random_density, random_pure_product
@@ -17,6 +20,7 @@ from jcentropy import (
     TraceNotOne,
     TrajectoryData,
     bloch_qubit,
+    default_grid,
     diagonal_evolve,
     dynamics,
     entropy_from_spectrum,
@@ -25,6 +29,8 @@ from jcentropy import (
     ladder,
     ppt_report,
     product_state,
+    purity_rate_approx,
+    purity_rate_exact,
     thermal_field,
     trajectory_data,
     validate_density,
@@ -296,7 +302,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, 1.0, np.inf]], ids=str)
     def test_non_finite_time_is_refused_as_input(self, ground_joint, t_grid):
         # refused before any rotation, whose cos(inf) = NaN would reach the eigensolver
-        with pytest.raises(InvalidParameter, match="t_grid must hold finite samples"):
+        with pytest.raises(InvalidParameter, match="t_grid must be finite"):
             trajectory_data(ground_joint, np.array(t_grid))
 
     def test_grid_validation(self, ground_joint):
@@ -511,3 +517,41 @@ class TestMemoryPreflight:
         peak = self.measured_peak(joint, np.arange(0.0, 25.005, 0.01),
                                   ppt=False, full_verification=False)
         assert peak < dynamics.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: diagonal_evolve(0.3, thermal_field(0.1, 4), t),
+    lambda t: purity_rate_exact("ground", thermal_field(0.1, 4), t),
+    lambda t: purity_rate_approx("ground", 0.1, t),
+    lambda t: evolve(product_state(bloch_qubit(BlochParams(0.7, 0.4)), thermal_field(0.1, 4)), t),
+], ids=["diagonal_evolve", "purity_rate_exact", "purity_rate_approx", "evolve"])
+@pytest.mark.parametrize("t", [np.nan, np.inf], ids=str)
+def test_non_finite_time_names_t(call, t):
+    # the closed forms returned NaN, and evolve refused "matrix contains NaN or Inf entries"
+    with pytest.raises(InvalidParameter, match="^t must be finite$"):
+        call(t)
+
+
+GRID_CALLS = {
+    "sample_count": dynamics.sample_count,
+    "time_grid": dynamics.time_grid,
+    "default_grid": lambda t_max, dt: default_grid(0.1, 4, (3, 3), t_max, dt),
+}
+
+
+@pytest.mark.parametrize("t_max,dt,message", [
+    (1.0, 0.0, "dt=0.0 must be positive"),
+    (1.0, -0.1, "dt=-0.1 must be positive"),
+    (1.0, np.nan, "dt=nan must be positive"),
+    (0.001, 0.01, "t_max=0.001 must be >= dt=0.01"),
+], ids=["dt0", "dt_negative", "dt_nan", "t_max_below_dt"])
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_time_grid_domain_is_refused_as_input(call, t_max, dt, message):
+    # not ZeroDivisionError, numpy's bare ValueError, or a grid of one sample
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        call(t_max, dt)
+
+
+@given(st.floats(1e-3, 10.0), st.floats(1.0, 1e4))
+def test_sample_count_is_time_grid_length(dt, span):
+    assert dynamics.sample_count(dt * span, dt) == len(dynamics.time_grid(dt * span, dt))

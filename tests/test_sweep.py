@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,14 +125,27 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter, match="diagnostics"):
             run_sweep(small_grid(), (), workers=1)
 
+    @pytest.mark.parametrize("value", [np.nan, 0.0], ids=str)
     @pytest.mark.parametrize("diagnostic,knob", [("exchange", "eps"), ("mutual", "eps"),
                                                  ("ppt", "artifact_threshold")])
-    def test_nan_threshold_is_cell_error(self, diagnostic, knob):
-        # NaN passed a `<= 0` check, then skipped every step or hid every negative
-        # eigenvalue: this entangled cell read ok with E = -inf
-        grid = small_grid(theta_values=np.array([np.pi / 2]), r_values=np.array([0.9]))
-        (cell,) = run_sweep(grid, (diagnostic,), workers=1, **{knob: np.nan})
-        assert cell.status == "error:InvalidParameter"
+    def test_bad_threshold_is_refused_before_any_cell(self, diagnostic, knob, value,
+                                                      monkeypatch):
+        # NaN passes a `<= 0` check, then skips every step or hides every negative
+        # eigenvalue; a map of error cells is no refusal either
+        def no_cell(*_, **__):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(dynamics, "trajectory_data", no_cell)
+        with pytest.raises(InvalidParameter, match=f"{knob}={value} must be positive"):
+            run_sweep(small_grid(), (diagnostic,), workers=1, **{knob: value})
+
+    def test_one_sample_grid_refuses_exchange_only(self):
+        # each cell read error:InvalidParameter; mutual and ppt have a value at one sample
+        grid = small_grid(t_grid=np.zeros(1))
+        with pytest.raises(InvalidParameter, match="exchange: t_grid needs at least two"):
+            run_sweep(grid, ("exchange", "mutual"), workers=1)
+        cells = run_sweep(grid, ("mutual", "ppt"), workers=1)
+        assert {c.status for c in cells} == {"ok"}
 
     def test_sterf_failure_is_cell_error(self, monkeypatch):
         # every cell solves its field spectra with dsbev at half-bandwidth 1
@@ -155,6 +170,12 @@ class TestGridValidation:
         with pytest.raises(InvalidParameter):
             small_grid(r_values=np.array([0.9, 0.3]))
 
+    @pytest.mark.parametrize("axis", ["theta_values", "r_values"])
+    def test_axes_must_be_finite(self, axis):
+        # a NaN passed every range check, and then its cells refused the Bloch vector
+        with pytest.raises(InvalidParameter, match=f"{axis} must be finite"):
+            small_grid(**{axis: np.array([np.nan])})
+
     @pytest.mark.parametrize("t_grid", [[0.5, 1.0, 1.5], [0.0, 1.0, 0.5], [], [[0.0, 1.0]],
                                         [0.0, np.nan], [0.0, 1.0, np.inf]])
     def test_time_grid_refused_as_the_engine_refuses_it(self, t_grid):
@@ -174,6 +195,10 @@ class TestGridValidation:
             small_grid(r_values=np.array([0.0, 0.5]))
         with pytest.raises(InvalidParameter):
             small_grid(r_values=np.array([0.5, 1.1]))
+
+    def test_default_grid_refuses_empty_resolution(self):
+        with pytest.raises(InvalidParameter, match=re.escape("grid resolution (-1, 3)")):
+            default_grid(0.1, 4, (-1, 3), 1.0, 0.1)
 
     def test_default_grid_shape(self):
         grid = default_grid(0.1, 13, resolution=(11, 7), t_max=2.0, dt=0.1)
