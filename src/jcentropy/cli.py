@@ -13,9 +13,10 @@ Outputs are deterministic byte for byte given a configuration.
 Run metadata that can vary between runs (wall time) goes to a sidecar JSON
 next to the data file, never into the CSV.
 
-Exit codes: 0 success, 1 selfcheck failure, 2 bad input (``ConfigError`` or
-any ``InvalidParameter``), 3 a computed fault (any ``ValidationError``) or a
-sweep in which no cell is ``ok``; ``errors`` states the contract.
+Exit codes: 0 success, 1 selfcheck failure, 2 bad input (any
+``InvalidParameter``, the CLI's own parse, config-file, atom and ``--out``
+refusals included), 3 a computed fault (any ``ValidationError``) or a sweep in
+which no cell is ``ok``; ``errors`` states the contract.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ SWEEP_ROW = ",".join([_FLOAT] * 5 + ["{}", "{}"])
 # per value a Python float (32), a float64 (8) and 25 characters in the row and the file,
 # and a str header per row.
 _EVOLVE_ROW_BYTES = len(EVOLVE_HEADER.split(",")) * (32 + 8 + 2 * 25) + 49
-
-
-class ConfigError(Exception):
-    """Bad flag or config-file value; the message names the offending field."""
 
 
 def _finite_float(text: str) -> float:
@@ -149,17 +146,17 @@ def _parse_atom(text: str) -> BlochParams:
     values = {}
     for part in text.split(","):
         if "=" not in part:
-            raise ConfigError(f"atom: cannot parse {part!r} in {text!r}")
+            raise InvalidParameter(f"atom: cannot parse {part!r} in {text!r}")
         key, _, raw = part.partition("=")
         key = key.strip()
         if key not in ("r", "theta", "phi"):
-            raise ConfigError(f"atom: unknown component {key!r}")
+            raise InvalidParameter(f"atom: unknown component {key!r}")
         try:
             values[key] = float(raw)
         except ValueError:
-            raise ConfigError(f"atom: {key}={raw!r} is not a number") from None
+            raise InvalidParameter(f"atom: {key}={raw!r} is not a number") from None
     if "r" not in values or "theta" not in values:
-        raise ConfigError(f"atom: {text!r} needs at least r= and theta=")
+        raise InvalidParameter(f"atom: {text!r} needs at least r= and theta=")
     return BlochParams(r=values["r"], theta=values["theta"], phi=values.get("phi", 0.0))
 
 
@@ -172,11 +169,11 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"config: line {lineno} is not 'key = value'")
+                    raise InvalidParameter(f"config: line {lineno} is not 'key = value'")
                 key, _, value = line.partition("=")
                 entries[key.strip().replace("_", "-")] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        raise InvalidParameter(f"config: cannot read {path}: {exc}") from exc
     return entries
 
 
@@ -186,7 +183,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     options = {_key(option): option for option in _options(args.command)}
     for key in from_file:
         if key not in options:
-            raise ConfigError(f"config: unknown key {key!r} for {args.command}")
+            raise InvalidParameter(f"config: unknown key {key!r} for {args.command}")
     values = {}
     for key, option in options.items():
         for raw in (from_file.get(key), getattr(args, option.name)):
@@ -195,7 +192,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             try:
                 values[option.name] = option.metadata["parse"](raw)
             except ValueError as exc:
-                raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
+                raise InvalidParameter(f"{key}: cannot parse {raw!r} ({exc})") from None
     return RunConfig(**values)
 
 
@@ -204,7 +201,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"out: cannot write {path}: {exc}") from exc
+        raise InvalidParameter(f"out: cannot write {path}: {exc}") from exc
 
 
 def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
@@ -249,7 +246,6 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
-    field = thermal_field(cfg.n_bar, n_f)
     grid = sweep_mod.default_grid(cfg.n_bar, n_f, cfg.grid, cfg.t_max, cfg.dt)
     cells = sweep_mod.run_sweep(grid, cfg.diagnostics, eps=cfg.eps,
                                 artifact_threshold=cfg.artifact_threshold, workers=cfg.workers)
@@ -262,7 +258,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                          c.n_significant_negatives, c.status)
         for c in cells
     ]
-    _write_outputs("sweep", cfg, lines, n_f, field.tail_mass, start)
+    _write_outputs("sweep", cfg, lines, n_f, grid.field.tail_mass, start)
     return EXIT_OK
 
 
@@ -462,13 +458,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_fixed_point(args.n_bar)
         cfg = _build_config(args)
         if cfg.out is None:
-            raise ConfigError(f"out: required for {args.command}")
+            raise InvalidParameter(f"out: required for {args.command}")
         if not os.path.isdir(os.path.dirname(cfg.out) or "."):
-            raise ConfigError(f"out: the directory of {cfg.out} does not exist")
+            raise InvalidParameter(f"out: the directory of {cfg.out} does not exist")
         if args.command == "evolve":
             return cmd_evolve(cfg)
         return cmd_sweep(cfg)
-    except (ConfigError, InvalidParameter) as exc:
+    except InvalidParameter as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValidationError, AllStepsSkipped) as exc:

@@ -52,7 +52,7 @@ from .errors import (ConservationViolation, InsufficientMemory, InvalidParameter
 from .states import (EXCITATION_DRIFT_TOL, HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING,
                      TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, _ladder_populations,
                      banded_eigvalsh, eigvalsh, ladder, lapack_solver, require_finite,
-                     validate_density)
+                     require_positive, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
 # block that stays in cache beats a longer batch; results do not depend on it.
@@ -343,8 +343,10 @@ def trajectory_data(
     at a fraction of the cost); callers doing this rely on spot-checked
     samples for positivity.  Every trajectory passes the range checks of
     :class:`EntropySeries` and keeps the excitation number within
-    ``EXCITATION_DRIFT_TOL``, or raises.
+    ``EXCITATION_DRIFT_TOL``, or raises.  A bad ``artifact_threshold`` is refused on entry,
+    with or without ``ppt``.
     """
+    require_positive("artifact_threshold", artifact_threshold)
     grid = _validate_grid(t_grid)
     d_a, d_f = rho0.require_joint()
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)

@@ -304,11 +304,14 @@ def thermal_field(n_bar: float, n_f: int) -> FieldDistribution:
     """Planck distribution for one cavity mode, truncated at Fock level ``n_f``.
 
     P_n = n_bar^n / (n_bar + 1)^(n+1) for n <= n_f; the residual mass goes to
-    the lump level, so the probabilities sum to one exactly.
+    the lump level, so the probabilities sum to one exactly.  Refuses an ``n_bar`` outside
+    its domain and an ``n_f`` that is negative or not an integer.
     """
     require_n_bar(n_bar)
     if n_f < 0:
         raise InvalidParameter(f"n_f={n_f} must be >= 0")
+    if not float(n_f).is_integer():  # NaN and inf too
+        raise InvalidParameter(f"n_f={n_f} must be an integer")
     n_f = int(n_f)
     return FieldDistribution(float(n_bar), n_f, _lumped(_planck_prefix(n_bar, n_f + 1), n_f))
 

@@ -1,17 +1,20 @@
 """Bloch-sphere sweeps of the entropy-exchange and entanglement diagnostics.
 
-Each grid cell evolves one initial product state over the full time grid and
-reduces the trajectory to scalar diagnostics.  Cells are independent work
-items: results are ordered theta-major by construction and are bitwise
-identical for any worker count.  A computed fault (``error:<Class>``) or a
-diagnostic without signal (the exactly stationary state has no entropy
-increments) is recorded in the cell status; bad input refuses the call.
+A :class:`SweepGrid` holds the axes, the time grid and the thermal field, built
+once.  Each cell evolves one initial product state over the full time grid and
+reduces the trajectory to scalar diagnostics; it is a pure function of the grid
+and its index in the theta-major order, so the results are bitwise identical
+for any worker count, and a sweep runs at most one process per cell.  A
+computed fault (``error:<Class>``) or a diagnostic without signal (the exactly
+stationary state has no entropy increments) is recorded in the cell status; bad
+input refuses the call.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import multiprocessing
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +22,8 @@ from . import dynamics
 from .entanglement import ARTIFACT_THRESHOLD, negativity_exponent
 from .entropy import DEFAULT_EPS, exchange_parameter, mutual_entropy_ratio
 from .errors import AllStepsSkipped, InvalidParameter, ValidationError
-from .states import (BlochParams, FloatArray, bloch_qubit, product_state, require_finite,
-                     require_n_bar, require_positive, thermal_field)
+from .states import (BlochParams, FieldDistribution, FloatArray, bloch_qubit, product_state,
+                     require_finite, require_n_bar, require_positive, thermal_field)
 
 # Every SPOT_CHECK_STRIDE-th cell runs with per-sample spectrum verification;
 # selection is deterministic so sweeps stay reproducible byte for byte.
@@ -29,15 +32,16 @@ SPOT_CHECK_STRIDE = 20
 DIAGNOSTICS = frozenset({"exchange", "mutual", "ppt"})
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepGrid:
-    """Axes and shared physics parameters of one sweep."""
+    """Axes and shared physics parameters of one sweep, and the field every cell starts in."""
 
     theta_values: FloatArray
     r_values: FloatArray
     n_bar: float
     n_f: int
     t_grid: FloatArray
+    field: FieldDistribution = dataclasses.field(init=False)
 
     def __post_init__(self):
         for name in ("theta_values", "r_values"):
@@ -49,9 +53,9 @@ class SweepGrid:
                 raise InvalidParameter(f"{name} must be strictly increasing")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "t_grid", dynamics._validate_grid(self.t_grid))
-        require_n_bar(self.n_bar)
-        if self.n_f < 1:
+        if self.n_f < 1:  # the engine's rule; thermal_field checks the rest of n_f and n_bar
             raise InvalidParameter(f"n_f={self.n_f} must be >= 1")
+        object.__setattr__(self, "field", thermal_field(self.n_bar, self.n_f))
         if self.r_values[0] <= 0 or self.r_values[-1] > 1:
             raise InvalidParameter("r_values must lie in (0, 1]")
         if self.theta_values[0] < -np.pi / 2 or self.theta_values[-1] > np.pi / 2:
@@ -62,7 +66,7 @@ class SweepGrid:
         return len(self.theta_values) * len(self.r_values)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SweepCell:
     """Diagnostics of one initial atomic state; None marks unavailable values.
 
@@ -121,14 +125,16 @@ def fixed_point(n_bar: float) -> BlochParams:
 
 
 def _evaluate_cell(
-    theta: float,
-    r: float,
     grid: SweepGrid,
     diagnostics: frozenset,
     eps: float,
     artifact_threshold: float,
-    full_verification: bool,
+    index: int,
 ) -> SweepCell:
+    """Cell ``index`` of the theta-major order; every ``SPOT_CHECK_STRIDE``-th one verifies
+    each sample's spectrum."""
+    n_r = len(grid.r_values)
+    theta, r = grid.theta_values[index // n_r], grid.r_values[index % n_r]
     status: list[str] = []
     p = r_bar = e = None
     n_sig = 0
@@ -136,10 +142,10 @@ def _evaluate_cell(
     art = 0.0
     try:
         atom = bloch_qubit(BlochParams(r=r, theta=theta, phi=0.0))
-        joint = product_state(atom, thermal_field(grid.n_bar, grid.n_f))
-        data = dynamics.trajectory_data(joint, grid.t_grid, ppt="ppt" in diagnostics,
+        data = dynamics.trajectory_data(product_state(atom, grid.field), grid.t_grid,
+                                        ppt="ppt" in diagnostics,
                                         artifact_threshold=artifact_threshold,
-                                        full_verification=full_verification)
+                                        full_verification=index % SPOT_CHECK_STRIDE == 0)
         if "exchange" in diagnostics:
             try:
                 p = exchange_parameter(data, eps).p
@@ -162,24 +168,6 @@ def _evaluate_cell(
                      artifact_magnitude=art, status="+".join(status) if status else "ok")
 
 
-_WORKER_ARGS: dict = {}
-
-
-def _init_worker(grid, diagnostics, eps, artifact_threshold):
-    _WORKER_ARGS.update(grid=grid, diagnostics=diagnostics, eps=eps,
-                        artifact_threshold=artifact_threshold)
-
-
-def _cell_by_index(index: int) -> SweepCell:
-    grid = _WORKER_ARGS["grid"]
-    n_r = len(grid.r_values)
-    theta = grid.theta_values[index // n_r]
-    r = grid.r_values[index % n_r]
-    return _evaluate_cell(theta, r, grid, _WORKER_ARGS["diagnostics"], _WORKER_ARGS["eps"],
-                          _WORKER_ARGS["artifact_threshold"],
-                          full_verification=(index % SPOT_CHECK_STRIDE == 0))
-
-
 def run_sweep(
     grid: SweepGrid,
     diagnostics=("exchange", "mutual", "ppt"),
@@ -189,8 +177,9 @@ def run_sweep(
 ) -> list[SweepCell]:
     """Evaluate every (theta, r) cell; theta-major order, deterministic output.
 
-    ``workers`` caps the process pool; the result does not depend on it.  Bad
-    input raises :class:`InvalidParameter` before any cell runs.
+    The cells run in ``min(workers, grid.n_cells)`` processes: in this one at one, in a
+    pool otherwise; the result does not depend on the count.  Bad input raises
+    :class:`InvalidParameter` before any cell runs.
     """
     diagnostics = frozenset(diagnostics)
     if not diagnostics or diagnostics - DIAGNOSTICS:
@@ -198,20 +187,16 @@ def run_sweep(
                                f"{sorted(DIAGNOSTICS)}")
     if workers < 1:
         raise InvalidParameter(f"workers={workers} must be >= 1")
+    workers = min(workers, grid.n_cells)
     require_positive("eps", eps)
     require_positive("artifact_threshold", artifact_threshold)
     if "exchange" in diagnostics and grid.t_grid.size < 2:
         raise InvalidParameter("exchange: t_grid needs at least two samples")
-    dynamics.require_memory(grid.n_f + 2, min(workers, grid.n_cells), grid.t_grid.size)
+    dynamics.require_memory(grid.n_f + 2, workers, grid.t_grid.size)
 
+    cell = functools.partial(_evaluate_cell, grid, diagnostics, eps, artifact_threshold)
     indices = range(grid.n_cells)
-    if workers == 1 or grid.n_cells == 1:
-        _init_worker(grid, diagnostics, eps, artifact_threshold)
-        return [_cell_by_index(i) for i in indices]
-    chunk = max(1, grid.n_cells // (workers * 8))
-    with multiprocessing.Pool(
-        workers,
-        initializer=_init_worker,
-        initargs=(grid, diagnostics, eps, artifact_threshold),
-    ) as pool:
-        return pool.map(_cell_by_index, indices, chunksize=chunk)
+    if workers == 1:
+        return list(map(cell, indices))
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(cell, indices, chunksize=max(1, grid.n_cells // (workers * 8)))

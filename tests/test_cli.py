@@ -173,7 +173,8 @@ def test_time_grid_too_long_is_refused_before_allocation(command, t_max, dt, tmp
     assert not out.exists()
 
 
-# Each input the library refuses, and the start of its message: the flag's field, named
+# Each refused input, and the start of its message: the flag's field, named.  The library
+# refuses all but the atoms, which the CLI parses itself.
 REFUSED = [
     (["--n-bar", "-1"], "n_bar=-1.0 must be finite and >= 0"),
     (["--n-f", "0"], "n-f: cannot parse '0' (must be 'auto' or an integer >= 1)"),
@@ -185,6 +186,9 @@ REFUSED = [
     (["--diagnostics", "bogus"], "diagnostics ['bogus']: not one or more of"),
     (["--grid", "0x3"], "grid resolution (0, 3) must be at least 1x1"),
     (["--workers", "0"], "workers=0 must be >= 1"),
+    (["--atom", "r=0.5,theta"], "atom: cannot parse 'theta' in 'r=0.5,theta'"),
+    (["--atom", "r=half,theta=0"], "atom: r='half' is not a number"),
+    (["--atom", "r=0.5"], "atom: 'r=0.5' needs at least r= and theta="),
 ]
 
 
@@ -331,6 +335,13 @@ class TestConfigFile:
         config = tmp_path / "bad.cfg"
         config.write_text("n-bars = 0.1\n")
         assert run(["evolve", "--config", str(config), "--out", "x.csv"]) == 2
+
+    def test_line_without_equals_names_the_line(self, tmp_path, capsys):
+        config = tmp_path / "bad3.cfg"
+        config.write_text("n-bar = 0.1\nn-f 4\n")
+        assert run(["evolve", "--config", str(config), "--out", "x.csv"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: config: line 2 is not 'key = value'\n")
 
     def test_bad_value_names_field(self, tmp_path, capsys):
         config = tmp_path / "bad2.cfg"

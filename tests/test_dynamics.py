@@ -305,6 +305,18 @@ class TestTrajectory:
         with pytest.raises(InvalidParameter, match="t_grid must be finite"):
             trajectory_data(ground_joint, np.array(t_grid))
 
+    @pytest.mark.parametrize("ppt", [False, True])
+    def test_bad_threshold_is_refused_on_entry(self, ground_joint, ppt, monkeypatch):
+        # without ppt nothing read the threshold; with it ppt_report refused it only after
+        # the first block was rotated and its joint spectra solved
+        def no_rotation(*_):
+            raise AssertionError("a block was rotated")
+
+        monkeypatch.setattr(dynamics, "_rotate", no_rotation)
+        with pytest.raises(InvalidParameter, match="artifact_threshold=-1 must be positive"):
+            trajectory_data(ground_joint, np.arange(0.0, 1.0, 0.1), ppt=ppt,
+                            artifact_threshold=-1)
+
     def test_grid_validation(self, ground_joint):
         with pytest.raises(InvalidParameter):
             trajectory_data(ground_joint, np.array([0.5, 1.0]))

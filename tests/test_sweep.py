@@ -13,7 +13,7 @@ from jcentropy import (
     fixed_point,
     run_sweep,
 )
-from jcentropy import states
+from jcentropy import states, sweep
 
 
 def small_grid(**overrides):
@@ -164,6 +164,65 @@ class TestRunSweep:
         with pytest.raises(InvalidParameter):
             run_sweep(small_grid(), ("exchange",), workers=0)
 
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """A stand-in ``multiprocessing.Pool`` that records its size and maps in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_):
+                return False
+
+            def map(self, func, iterable, chunksize=1):
+                return list(map(func, iterable))
+
+        monkeypatch.setattr(sweep.multiprocessing, "Pool", RecordingPool)
+        return sizes
+
+    def test_pool_never_outnumbers_the_cells(self, pool_sizes, monkeypatch):
+        # workers=1000 asked for 1000 processes for 9 cells
+        grid = default_grid(0.1, 4, (3, 3), 1.0, 0.1)
+        counted = []
+        require_memory = dynamics.require_memory
+
+        def counting(f_dim, workers=1, samples=0, extra=0):
+            counted.append(workers)
+            return require_memory(f_dim, workers, samples, extra)
+
+        monkeypatch.setattr(dynamics, "require_memory", counting)
+        assert len(run_sweep(grid, workers=1000)) == 9
+        assert pool_sizes == [9] and counted == [9]
+
+    def test_one_cell_builds_no_pool(self, pool_sizes):
+        assert len(run_sweep(small_grid(r_values=np.array([0.9]), theta_values=np.zeros(1)),
+                             ("exchange",), workers=4)) == 1
+        assert pool_sizes == []
+
+    def test_every_cell_starts_in_the_grid_field(self, monkeypatch):
+        # the field is built once, by the grid, not once per cell
+        grid = small_grid()
+        received = []
+        build = sweep.product_state
+
+        def recording(atom, field_state):
+            received.append(field_state)
+            return build(atom, field_state)
+
+        def no_field(*_):
+            raise AssertionError("a cell built its own field")
+
+        monkeypatch.setattr(sweep, "product_state", recording)
+        monkeypatch.setattr(sweep, "thermal_field", no_field)
+        run_sweep(grid, ("exchange",), workers=1)
+        assert len(received) == grid.n_cells
+        assert all(field is grid.field for field in received)
+
 
 class TestGridValidation:
     def test_axes_must_increase(self):
@@ -189,6 +248,14 @@ class TestGridValidation:
         # not accepted here and then refused in every cell
         with pytest.raises(InvalidParameter, match="n_f|n_bar"):
             small_grid(**field)
+
+    @pytest.mark.parametrize("build", [lambda: states.thermal_field(0.1, 2.5),
+                                       lambda: small_grid(n_f=2.5)],
+                             ids=["thermal_field", "SweepGrid"])
+    def test_fractional_n_f_is_refused(self, build):
+        # int() truncated it to 2: the grid recorded a cutoff that no cell ran
+        with pytest.raises(InvalidParameter, match=re.escape("n_f=2.5 must be an integer")):
+            build()
 
     def test_radius_bounds(self):
         with pytest.raises(InvalidParameter):
