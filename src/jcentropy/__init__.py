@@ -13,7 +13,6 @@ from .dynamics import (
     trajectory_data,
 )
 from .entanglement import (
-    PptReport,
     SEPARABLE_GRADE,
     negativity_exponent,
     partial_transpose,

@@ -225,10 +225,10 @@ def _write_outputs(command: str, cfg: RunConfig, lines: list[str], n_f: int,
 def cmd_evolve(cfg: RunConfig) -> int:
     start = time.monotonic()
     n_f = cfg.resolved_n_f()
+    samples = dynamics.sample_count(cfg.t_max, cfg.dt)
+    dynamics.require_memory(n_f + 2, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
     field = thermal_field(cfg.n_bar, n_f)
     atom = bloch_qubit(_parse_atom(cfg.atom))
-    samples = dynamics.sample_count(cfg.t_max, cfg.dt)
-    dynamics.require_memory(field.dim, samples=samples, extra=samples * _EVOLVE_ROW_BYTES)
     joint = product_state(atom, field)
     data = dynamics.trajectory_data(joint, dynamics.time_grid(cfg.t_max, cfg.dt), ppt=True,
                                     artifact_threshold=cfg.artifact_threshold)
@@ -351,6 +351,7 @@ def _check_ppt_trace() -> float:
     atom = bloch_qubit(BlochParams(0.7, 0.4, 0.0))
     joint = dynamics.evolve(product_state(atom, field), 2.2)
     w = eigvalsh(entanglement.partial_transpose(joint.mat, joint.dims))
+    entanglement._pt_columns(w, entanglement.ARTIFACT_THRESHOLD)  # refuses a PT trace fault
     return float(abs(w.sum() - 1.0))
 
 

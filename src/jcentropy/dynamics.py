@@ -21,9 +21,9 @@ The rotations mix only states of equal excitation number, and the one pair
 that does not (|e,F-1>, |g,0>) never turns, so an entry of sigma0 with
 |N_i - N_j| >= 2 that is 0 stays exactly 0.  So for every Bloch atom on a
 diagonal field both spectra are those of real band matrices, and one band
-solver, ``states.banded_eigvalsh`` (LAPACK's ``dsbev``), takes them; where
-numpy's LAPACK has no ``dsbev`` such a state takes the dense route.  The
-reduced field collects only entries with N_i - N_j = n - m, so it is
+solver, ``states.banded_eigvalsh`` (LAPACK's ``dsbev``, or the dense ``eigvalsh``
+of each band where numpy's LAPACK has no ``dsbev``), takes them.  The reduced
+field collects only entries with N_i - N_j = n - m, so it is
 tridiagonal (half-bandwidth 1), and its eigenvalues are bit-identical to the
 dense ``eigvalsh``'s at O(F^2) instead of O(F^3).  In excitation-number order
 the joint state has half-bandwidth 3; under full verification its lower band
@@ -45,13 +45,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entanglement import ARTIFACT_THRESHOLD, PptReport, ppt_report
+from .entanglement import ARTIFACT_THRESHOLD, _pt_columns, partial_transpose
 from .entropy import EntropySeries, entropy_from_spectrum
 from .errors import (ConservationViolation, InsufficientMemory, InvalidParameter, NotHermitian,
                      NotPositive, TraceNotOne)
 from .states import (EXCITATION_DRIFT_TOL, HERMITICITY_TOL, PSD_FLOOR, REAL_GAUGE_ROUNDING,
                      TRACE_TOL, DensityMatrix, FieldDistribution, FloatArray, _ladder_populations,
-                     banded_eigvalsh, eigvalsh, ladder, lapack_solver, require_finite,
+                     banded_eigvalsh, eigvalsh, ladder, require_finite,
                      require_positive, validate_density)
 
 # Bytes of one block of evolved samples.  The rotations are memory-bound, so a
@@ -281,11 +281,12 @@ def _excitation_weights(f_dim: int) -> FloatArray:
 
 @dataclass(frozen=True)
 class TrajectoryData(EntropySeries):
-    """Column-wise trajectory results: the entropy series, then the excitation number.
-
-    The last four columns are those of :class:`PptReport`, one entry per
-    sample; they are None unless requested.
-    """
+    """Column-wise trajectory results: the entropy series, the excitation number, and the
+    four columns of the partially transposed (PT) sample, None unless requested:
+    ``lambda_m``, the most negative significant PT eigenvalue (0.0 when there is none);
+    ``n_significant``, the count of negatives of magnitude at least the artifact threshold;
+    ``min_transpose_eigenvalue``; and ``artifact_magnitude``, the largest magnitude among
+    the negatives below the threshold (0.0 when there is none)."""
 
     n_expectation: FloatArray
     lambda_m: FloatArray | None = None
@@ -352,7 +353,7 @@ def trajectory_data(
     s_joint_initial = entropy_from_spectrum(rho0.eigenvalues)
     weights = _excitation_weights(d_f)
     sigma0, _ = _gauged(rho0)
-    banded = _excitation_banded(sigma0) and lapack_solver() == "dsbev"
+    banded = _excitation_banded(sigma0)
     blocks = _pair_blocks(sigma0)
     band_map = _band_map(blocks) if full_verification and banded else None
     # pair k joins |e,k> and |g,k+1 mod F>: what each reduction reads from which block
@@ -416,8 +417,8 @@ def trajectory_data(
             "n_expectation": _basis_sum(diag.real * weights),
         }
         if ppt:
-            report = ppt_report(rho_t, (d_a, d_f), artifact_threshold)
-            part.update((f.name, getattr(report, f.name)) for f in fields(PptReport))
+            part.update(_pt_columns(eigvalsh(partial_transpose(rho_t, (d_a, d_f))),
+                                    artifact_threshold))
         parts.append(part)
 
     data = TrajectoryData(t=grid, **{c: np.concatenate([p[c] for p in parts]) for c in parts[0]})

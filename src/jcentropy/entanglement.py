@@ -8,12 +8,14 @@ negatives are split into truncation artifacts and significant ones before any
 verdict is drawn.  Positivity of the partial transpose is only a necessary
 condition for separability at these dimensions (2 x N with N > 3), so a clean
 spectrum proves nothing.
+
+``_pt_columns`` reduces a PT spectrum to the four PT columns of
+``dynamics.TrajectoryData``, whichever route computed the spectrum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,23 +30,6 @@ PT_TRACE_TOL = 1e-10
 
 # E for a trajectory whose averaged peak negativity is exactly zero.
 SEPARABLE_GRADE = float("-inf")
-
-
-@dataclass(frozen=True)
-class PptReport:
-    """Negativity analysis of partially transposed joint states, one entry per state.
-
-    ``lambda_m`` is the most negative significant eigenvalue (0.0 when there
-    is none), ``n_significant`` counts the negatives of magnitude at least the
-    artifact threshold, ``min_transpose_eigenvalue`` is the smallest
-    eigenvalue, and ``artifact_magnitude`` is the largest magnitude among the
-    negatives below the threshold (0.0 when there is none).
-    """
-
-    lambda_m: FloatArray
-    n_significant: np.ndarray
-    min_transpose_eigenvalue: FloatArray
-    artifact_magnitude: FloatArray
 
 
 def partial_transpose(mat, dims: tuple[int, int]) -> ComplexMatrix:
@@ -63,28 +48,31 @@ def partial_transpose(mat, dims: tuple[int, int]) -> ComplexMatrix:
     return np.ascontiguousarray(np.swapaxes(blocks, -1, -3)).reshape(*lead, dim, dim)
 
 
-def ppt_report(
-    mat, dims: tuple[int, int], threshold: float = ARTIFACT_THRESHOLD
-) -> PptReport:
-    """Negativity analysis of one joint density matrix or a ``(..., D, D)`` stack.
-
-    Raises :class:`TraceNotOne` when an eigenvalue sum of the partial
-    transpose leaves 1 by more than ``PT_TRACE_TOL``.
-    """
-    require_positive("artifact_threshold", threshold)
-    w = eigvalsh(partial_transpose(mat, dims))
+def _pt_columns(w: FloatArray, threshold: float) -> dict[str, np.ndarray]:
+    """The four PT columns of ``TrajectoryData``, keyed by name, of ascending PT spectra
+    ``w``, one or a stack.  Raises :class:`TraceNotOne` where a sum leaves 1 by more than
+    ``PT_TRACE_TOL``; the caller checks ``threshold``."""
     totals = np.ravel(w.sum(axis=-1))
     worst = totals[np.argmax(np.abs(totals - 1.0))]
     if abs(worst - 1.0) > PT_TRACE_TOL:
         raise TraceNotOne(complex(worst), PT_TRACE_TOL)
     neg = w < 0.0
     significant = neg & (np.abs(w) >= threshold)
-    return PptReport(
-        lambda_m=np.where(significant, w, 0.0).min(axis=-1),
-        n_significant=significant.sum(axis=-1),
-        min_transpose_eigenvalue=w[..., 0],
-        artifact_magnitude=np.where(neg & ~significant, -w, 0.0).max(axis=-1),
-    )
+    return {
+        "lambda_m": np.where(significant, w, 0.0).min(axis=-1),
+        "n_significant": significant.sum(axis=-1),
+        "min_transpose_eigenvalue": w[..., 0],
+        "artifact_magnitude": np.where(neg & ~significant, -w, 0.0).max(axis=-1),
+    }
+
+
+def ppt_report(
+    mat, dims: tuple[int, int], threshold: float = ARTIFACT_THRESHOLD
+) -> dict[str, np.ndarray]:
+    """Negativity analysis of one joint density matrix or a ``(..., D, D)`` stack: the
+    ``_pt_columns`` of its partial transpose's spectrum, one entry per matrix."""
+    require_positive("artifact_threshold", threshold)
+    return _pt_columns(eigvalsh(partial_transpose(mat, dims)), threshold)
 
 
 def negativity_exponent(lambda_mean: float) -> float:

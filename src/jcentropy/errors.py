@@ -68,7 +68,7 @@ class RangeViolation(ValidationError):
 
 
 class NoConvergence(ValidationError):
-    """The eigensolver failed to converge, or its LAPACK routine is missing."""
+    """The eigensolver failed to converge."""
 
 
 class AllStepsSkipped(RuntimeError):

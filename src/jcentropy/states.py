@@ -113,8 +113,9 @@ def banded_eigvalsh(band) -> FloatArray:
     only copies the band, and numpy's ``eigvalsh`` (``dsyevd``: ``dsytrd``,
     which leaves a tridiagonal matrix unchanged, then ``dsterf``) gives
     bit-identical eigenvalues; both rescale only a matrix whose largest entry
-    lies outside about 1e-146..1e146.  Raises :class:`NoConvergence` if the
-    solver fails, or if numpy's LAPACK has no ``dsbev``.
+    lies outside about 1e-146..1e146.  Without ``dsbev`` in numpy's LAPACK, each
+    band fills the lower triangle, all that ``eigvalsh`` reads, of a dense matrix
+    that it solves.  Raises :class:`NoConvergence` if the solver fails.
     """
     band = np.array(band, dtype=np.float64, order="C")  # a copy, which dsbev overwrites
     if band.ndim != 3 or band.shape[2] < 1:
@@ -122,7 +123,11 @@ def banded_eigvalsh(band) -> FloatArray:
     count, dim, width = band.shape
     sbev = _dsbev()
     if sbev is None:
-        raise NoConvergence("dsbev: not in numpy's LAPACK; take the dense eigvalsh")
+        dense = np.zeros((count, dim, dim))
+        for offset in range(min(width, dim)):
+            i = np.arange(dim - offset)
+            dense[:, i + offset, i] = band[:, : dim - offset, offset]
+        return eigvalsh(dense)
     w = np.empty((count, dim))
     work = np.empty(max(1, 3 * dim - 2))
     ints = np.array([dim, width - 1, width, 1, 0], np.int64)  # n, kd, ldab, ldz, info
@@ -379,7 +384,7 @@ def product_state(
     if isinstance(field_state, FieldDistribution):
         field_state = field_state.density_matrix()
     if atom.dim != 2:
-        raise InvalidParameter(f"atom factor must be 2x2, got dim {atom.dim}")
+        raise InvalidParameter(f"atom factor has dimension {atom.dim}; the model needs a qubit (2)")
     joint = np.kron(atom.mat, field_state.mat)
     return validate_density(joint, (2, field_state.dim))
 

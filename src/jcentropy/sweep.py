@@ -120,8 +120,10 @@ def fixed_point(n_bar: float) -> BlochParams:
     require_n_bar(n_bar)
     if n_bar == 0.0:
         raise InvalidParameter("n_bar=0.0 must be positive: the vacuum has no fixed point")
-    p_ground = (n_bar + 1.0) / (2.0 * n_bar + 1.0)
-    return BlochParams(r=2.0 * p_ground - 1.0, theta=-np.pi / 2, phi=0.0)
+    r = 1.0 / (2.0 * n_bar + 1.0)  # 2 P_ground - 1, which cancels at large n_bar
+    if r == 0.0:
+        raise InvalidParameter(f"n_bar={n_bar} is too large: r = 1/(2 n_bar + 1) rounds to 0")
+    return BlochParams(r=r, theta=-np.pi / 2, phi=0.0)
 
 
 def _evaluate_cell(

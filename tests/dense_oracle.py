@@ -10,7 +10,7 @@ import numpy as np
 
 from jcentropy import (InvalidParameter, TraceNotOne, TrajectoryData, ladder, ppt_report,
                        validate_density)
-from jcentropy.entanglement import ARTIFACT_THRESHOLD, PptReport
+from jcentropy.entanglement import ARTIFACT_THRESHOLD
 from jcentropy.entropy import entropy_from_spectrum
 
 # A partial trace keeps the trace of the joint state to rounding: tighter than TRACE_TOL.
@@ -77,7 +77,6 @@ def dense_trajectory(rho0, t_grid, threshold: float = ARTIFACT_THRESHOLD) -> Tra
     r_atom = np.einsum("tifjf->tij", blocks)
     r_field = np.einsum("taiaj->tij", blocks)
     n = np.arange(d_f, dtype=float)
-    report = ppt_report(rho_t, (d_a, d_f), threshold)
     return TrajectoryData(
         t=np.asarray(t_grid, dtype=float),
         s_atom=entropy_from_spectrum(np.linalg.eigvalsh(r_atom)),
@@ -86,5 +85,5 @@ def dense_trajectory(rho0, t_grid, threshold: float = ARTIFACT_THRESHOLD) -> Tra
         purity_atom=(np.abs(r_atom) ** 2).sum(axis=(1, 2)),
         purity_field=(np.abs(r_field) ** 2).sum(axis=(1, 2)),
         n_expectation=np.einsum("tii,i->t", rho_t, np.concatenate([n + 1.0, n])).real,
-        **{f: getattr(report, f) for f in PptReport.__dataclass_fields__},
+        **ppt_report(rho_t, (d_a, d_f), threshold),
     )

@@ -133,6 +133,20 @@ def test_memory_preflight_exits_config(tmp_path, monkeypatch, capsys):
         assert not out.exists()
 
 
+def test_memory_preflight_refuses_before_the_field_is_built(tmp_path, monkeypatch, capsys):
+    # an explicit n_f of a million built its 8 MB field, and only then was refused
+    def build(*_):
+        raise AssertionError("thermal_field called")
+
+    monkeypatch.setattr(cli, "thermal_field", build)
+    monkeypatch.setattr(dynamics, "machine_bytes", lambda: 1 << 30)
+    out = tmp_path / "x.csv"
+    assert run(["evolve", "--n-f", "1000000", "--t-max", "0.01", "--dt", "0.01",
+                "--out", str(out)]) == 2
+    assert "estimated peak memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "sweep"])
 def test_memory_preflight_refuses_before_truncation_scan(command, tmp_path, monkeypatch, capsys):
     # at n_bar 1000 the closed-form floor alone needs hundreds of GiB; the scan never runs

@@ -80,7 +80,9 @@ class TestPropagator:
         lambda joint: trajectory_data(joint, [0.0, 1.0]),
         lambda joint: evolve(joint, 1.0),
         dynamics._gauged,
-    ], ids=["trajectory_data", "evolve", "gauge"])
+        lambda joint: product_state(validate_density(np.eye(joint.dims[0]) / joint.dims[0],
+                                                     joint.dims[:1]), thermal_field(0.1, 1)),
+    ], ids=["trajectory_data", "evolve", "gauge", "product_state"])
     def test_rejects_non_qubit_atom(self, dims, entry):
         d = dims[0] * dims[1]
         joint = validate_density(np.eye(d) / d, dims)
@@ -285,15 +287,15 @@ class TestTrajectory:
         for k, t in enumerate(grid):
             evolved = evolve(excited_joint, t)
             report = ppt_report(evolved.mat, evolved.dims)
-            assert abs(report.lambda_m - data.lambda_m[k]) < 1e-12
-            assert report.n_significant == data.n_significant[k]
+            assert abs(report["lambda_m"] - data.lambda_m[k]) < 1e-12
+            assert report["n_significant"] == data.n_significant[k]
         assert data.n_significant.max() >= 1
 
     def test_solver_failure_is_no_convergence(self, ground_joint, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        # without dsbev trajectory_data takes the dense route, numpy's eigvalsh throughout
+        # without dsbev the band solver calls numpy's eigvalsh too, so every solve fails
         monkeypatch.setattr(states, "_dsbev", dsbev_absent)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NoConvergence):

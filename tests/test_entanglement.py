@@ -83,14 +83,14 @@ class TestPartialTranspose:
 class TestNegativeEigenvalues:
     def test_psd_input_empty(self):
         report = crafted_report(np.full(4, 0.25))
-        assert report.n_significant == 0
-        assert report.lambda_m == 0.0 and report.artifact_magnitude == 0.0
+        assert report["n_significant"] == 0
+        assert report["lambda_m"] == 0.0 and report["artifact_magnitude"] == 0.0
 
     def test_diagonal_case(self):
         report = crafted_report([0.75, 0.75, -0.5, 0.0])
-        assert report.n_significant == 1
-        assert report.lambda_m == -0.5
-        assert report.min_transpose_eigenvalue == -0.5
+        assert report["n_significant"] == 1
+        assert report["lambda_m"] == -0.5
+        assert report["min_transpose_eigenvalue"] == -0.5
 
     def test_stable_under_basis_growth(self):
         # genuine negatives move by at most the truncated tail when the basis grows
@@ -101,7 +101,7 @@ class TestNegativeEigenvalues:
             joint = evolve(product_state(atom, thermal_field(0.1, n_f)), t)
             w = np.linalg.eigvalsh(pt(joint))
             spectra[n_f] = w[w <= -1e-12]
-            assert ppt_report(joint.mat, joint.dims).n_significant == spectra[n_f].size
+            assert ppt_report(joint.mat, joint.dims)["n_significant"] == spectra[n_f].size
         assert spectra[13].size == spectra[15].size
         assert np.abs(spectra[13] - spectra[15]).max() < 1e-9
 
@@ -109,27 +109,27 @@ class TestNegativeEigenvalues:
 class TestFilterArtifact:
     def test_truncation_scale_is_artifact(self):
         report = crafted_report([-1e-17, 0.5, 0.5, 1e-17])
-        assert report.n_significant == 0
-        assert report.lambda_m == 0.0
-        assert report.artifact_magnitude == 1e-17
+        assert report["n_significant"] == 0
+        assert report["lambda_m"] == 0.0
+        assert report["artifact_magnitude"] == 1e-17
 
     def test_mixed_input(self):
         report = crafted_report([-0.2, -1e-17, 0.6, 0.6])
-        assert report.n_significant == 1
-        assert report.lambda_m == -0.2
-        assert report.artifact_magnitude == 1e-17
+        assert report["n_significant"] == 1
+        assert report["lambda_m"] == -0.2
+        assert report["artifact_magnitude"] == 1e-17
 
     def test_empty(self):
         report = crafted_report([0.1, 0.2, 0.3, 0.4])
-        assert report.n_significant == 0
-        assert report.lambda_m == 0.0 and report.artifact_magnitude == 0.0
+        assert report["n_significant"] == 0
+        assert report["lambda_m"] == 0.0 and report["artifact_magnitude"] == 0.0
 
     def test_threshold_boundary_is_significant(self):
         # |v| == threshold counts as significant, just below it as an artifact
         report = crafted_report([-1e-12, -9.9e-13, 0.5, 0.5 + 1.99e-12])
-        assert report.n_significant == 1
-        assert report.lambda_m == -1e-12
-        assert report.artifact_magnitude == 9.9e-13
+        assert report["n_significant"] == 1
+        assert report["lambda_m"] == -1e-12
+        assert report["artifact_magnitude"] == 9.9e-13
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(InvalidParameter):
@@ -139,18 +139,18 @@ class TestFilterArtifact:
         rows = [[-0.2, -1e-17, 0.6, 0.6], [0.1, 0.2, 0.3, 0.4]]
         stack = np.stack([np.diag(r).astype(complex) for r in rows])
         report = ppt_report(stack, (2, 2))
-        assert list(report.n_significant) == [1, 0]
-        assert list(report.lambda_m) == [-0.2, 0.0]
-        assert list(report.artifact_magnitude) == [1e-17, 0.0]
+        assert list(report["n_significant"]) == [1, 0]
+        assert list(report["lambda_m"]) == [-0.2, 0.0]
+        assert list(report["artifact_magnitude"]) == [1e-17, 0.0]
 
 
 class TestReportAndMeasure:
     def test_report_fields_consistent(self):
         joint = bell_joint()
         report = ppt_report(joint.mat, joint.dims)
-        assert report.lambda_m == pytest.approx(-0.5, abs=1e-12)
-        assert report.n_significant == 1
-        assert report.min_transpose_eigenvalue == report.lambda_m
+        assert report["lambda_m"] == pytest.approx(-0.5, abs=1e-12)
+        assert report["n_significant"] == 1
+        assert report["min_transpose_eigenvalue"] == report["lambda_m"]
 
     def test_trace_check(self):
         with pytest.raises(TraceNotOne):
@@ -159,7 +159,7 @@ class TestReportAndMeasure:
     def test_e_measure_clean_trajectory(self, rng):
         atom = random_density(rng, 2)
         joint = product_state(atom, thermal_field(0.2, 6))
-        lambda_m = ppt_report(np.stack([joint.mat] * 5), joint.dims).lambda_m
+        lambda_m = ppt_report(np.stack([joint.mat] * 5), joint.dims)["lambda_m"]
         assert negativity_exponent(lambda_m.mean()) == SEPARABLE_GRADE
 
     def test_e_measure_log_identity(self):
@@ -167,10 +167,10 @@ class TestReportAndMeasure:
 
     def test_verdicts(self, rng):
         joint = bell_joint()
-        assert ppt_report(joint.mat, joint.dims).n_significant > 0
+        assert ppt_report(joint.mat, joint.dims)["n_significant"] > 0
         atom = random_density(rng, 2)
         product = product_state(atom, thermal_field(0.4, 6))
-        assert ppt_report(product.mat, product.dims).n_significant == 0
+        assert ppt_report(product.mat, product.dims)["n_significant"] == 0
 
     def test_separable_mixtures_stay_indeterminate(self, rng):
         # convex mixtures of up to three product states are separable by construction
@@ -184,7 +184,7 @@ class TestReportAndMeasure:
                 field = random_density(rng, f_dim)
                 mat += w * np.kron(atom.mat, field.mat)
             joint = validate_density(mat, (2, f_dim))
-            assert ppt_report(joint.mat, joint.dims).n_significant == 0
+            assert ppt_report(joint.mat, joint.dims)["n_significant"] == 0
 
 
 class TestExchangeRegionTrajectory:

@@ -15,12 +15,17 @@ A row records which front ends cannot reach its raise: ``selfcheck`` is None
 where no check reaches it (and the selfcheck then passes), and ``sweep`` is
 "spot" where only the spot-checked cells, which recompute the joint spectrum,
 reach it.  Not rows: the raises that only bad input reaches (shapes, domains,
-the time grid, memory), which end in ``InvalidParameter`` and exit 2;
-``banded_eigvalsh``'s refusal without ``dsbev``, which ``trajectory_data``
-avoids by taking the dense route; and ``AllStepsSkipped``, a diagnostic
-without signal, which a sweep records as ``<diagnostic>_skipped``.
+the time grid, memory), which end in ``InvalidParameter`` and exit 2, and
+``AllStepsSkipped``, a diagnostic without signal, which a sweep records as
+``<diagnostic>_skipped``.  Every other ``raise`` of a ``ValidationError`` in
+those four modules is a row or one of the ``EXCLUDED`` raises, with its reason;
+``test_every_computed_fault_is_listed`` walks the source to hold the table to
+that.
 """
 
+import ast
+import collections
+import inspect
 from typing import NamedTuple
 
 import numpy as np
@@ -43,36 +48,50 @@ class Fault(NamedTuple):
     error: type
     message: str     # how the error's message starts
     selfcheck: str | None  # a check that reaches the raise
+    site: str        # the function that holds the raise
     sweep: str = "every"   # the cells that reach it: "every" or "spot"
 
 
 FAULTS = {
     "states.eigvalsh": Fault(np.linalg, "eigvalsh", _solver_fails, NoConvergence,
-                             "Eigenvalues did not converge", "propagator_unitarity"),
+                             "Eigenvalues did not converge", "propagator_unitarity",
+                             "states.eigvalsh"),
     "states.banded_eigvalsh": Fault(states, "_dsbev", dsbev_failing(kd=1), NoConvergence,
                                     "dsbev: 1 off-diagonal entries did not converge",
-                                    "schmidt_equality"),
+                                    "schmidt_equality", "states.banded_eigvalsh"),
     "states.validate_density.hermiticity": Fault(states, "HERMITICITY_TOL", -1.0, NotHermitian,
-                                                 "matrix is not Hermitian", "propagator_unitarity"),
+                                                 "matrix is not Hermitian", "propagator_unitarity",
+                                                 "states.validate_density"),
     "states.validate_density.trace": Fault(states, "TRACE_TOL", -1.0, TraceNotOne, "trace is ",
-                                           "propagator_unitarity"),
+                                           "propagator_unitarity", "states.validate_density"),
     "states.validate_density.positivity": Fault(states, "PSD_FLOOR", 1.0, NotPositive,
-                                                "minimum eigenvalue ", "propagator_unitarity"),
+                                                "minimum eigenvalue ", "propagator_unitarity",
+                                                "states.validate_density"),
     "dynamics.trajectory_data.hermiticity": Fault(dynamics, "HERMITICITY_TOL", -1.0, NotHermitian,
-                                                  "matrix is not Hermitian", "schmidt_equality"),
+                                                  "matrix is not Hermitian", "schmidt_equality",
+                                                  "dynamics.trajectory_data"),
     "dynamics.trajectory_data.trace": Fault(dynamics, "TRACE_TOL", -1.0, TraceNotOne, "trace is ",
-                                            "schmidt_equality"),
+                                            "schmidt_equality", "dynamics.trajectory_data"),
     "dynamics.trajectory_data.positivity": Fault(dynamics, "PSD_FLOOR", 1.0, NotPositive,
                                                  "minimum eigenvalue ", "schmidt_equality",
-                                                 sweep="spot"),
+                                                 "dynamics._joint_entropy", sweep="spot"),
     "dynamics.trajectory_data.drift": Fault(dynamics, "EXCITATION_DRIFT_TOL", -1.0,
                                             ConservationViolation, "excitation number drifted",
-                                            "excitation_conservation"),
-    # no selfcheck calls ppt_report
+                                            "excitation_conservation", "dynamics.trajectory_data"),
     "entanglement.ppt_report.trace": Fault(entanglement, "PT_TRACE_TOL", -1.0, TraceNotOne,
-                                           "trace is ", None),
+                                           "trace is ", "ppt_trace_preservation",
+                                           "entanglement._pt_columns"),
     "entropy.EntropySeries.range": Fault(entropy, "RANGE_SLACK", -1.0, RangeViolation,
-                                         "s_atom reaches ", "schmidt_equality"),
+                                         "s_atom reaches ", "schmidt_equality",
+                                         "entropy.EntropySeries.__post_init__"),
+}
+# The raises of a ValidationError that no row forces, keyed as the rows are: the function
+# that holds each, and why no patched tolerance or solver reaches it.
+EXCLUDED = {
+    "entropy.EntropySeries.purity": ("entropy.EntropySeries.__post_init__", (
+        "RANGE_SLACK reaches the entropy raise first: the initial entropies of a pure "
+        "atom are exactly 0, which passes only at RANGE_SLACK >= 0, and then no purity "
+        "exceeds 1 + RANGE_SLACK; test_states holds a hand-built series to it")),
 }
 ROWS = [pytest.param(fault, id=site, marks=pytest.mark.skipif(
             fault.name == "_dsbev" and states.lapack_solver() != "dsbev",
@@ -126,3 +145,30 @@ def test_selfcheck_fails_by_name(fault, capsys):
     assert code == 1
     assert any(line.startswith(f"[FAIL] {fault.selfcheck}: {fault.message}") for line in lines)
     assert lines[-1].startswith("selfcheck failed: ") and fault.selfcheck in lines[-1]
+
+
+def _validation_raises(module) -> collections.Counter:
+    """The function of each ``raise`` of a ``ValidationError`` in ``module``, counted."""
+    sites = collections.Counter()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                error = getattr(module, getattr(child.exc.func, "id", ""), None)
+                if isinstance(error, type) and issubclass(error, ValidationError):
+                    sites[".".join([module.__name__.rsplit(".", 1)[-1], *scope])] += 1
+            walk(child, scope)
+
+    walk(ast.parse(inspect.getsource(module)), [])
+    return sites
+
+
+def test_every_computed_fault_is_listed():
+    found = sum((_validation_raises(m) for m in (dynamics, entanglement, entropy, states)),
+                collections.Counter())
+    listed = collections.Counter([row.site for row in FAULTS.values()]
+                                 + [site for site, _ in EXCLUDED.values()])
+    assert found == listed

@@ -12,11 +12,13 @@ from dense_oracle import partial_trace
 from jcentropy import (
     BlochParams,
     DimensionMismatch,
+    EntropySeries,
     InvalidParameter,
     MissingFactorization,
     NoConvergence,
     NotHermitian,
     NotPositive,
+    RangeViolation,
     SweepGrid,
     TraceNotOne,
     auto_truncate,
@@ -151,6 +153,32 @@ def test_n_bar_domain_has_one_check(call, n_bar):
     # `n_bar < 0` is false for NaN: past it come NaN probabilities, n_f = 1, NaN rates
     with pytest.raises(InvalidParameter, match=re.escape(f"n_bar={n_bar} must be finite and")):
         call(n_bar)
+
+
+# Refusals that no other test reaches, each with its error and how its message starts.
+REFUSALS = {
+    "BlochParams.phi": (lambda: BlochParams(0.5, 0.0, 2 * np.pi), InvalidParameter,
+                        f"phi={2 * np.pi} outside [0, 2*pi)"),
+    "SweepGrid.empty_axis": (lambda: SweepGrid(np.zeros(0), np.ones(1), 0.1, 4, np.zeros(1)),
+                             InvalidParameter, "theta_values must be non-empty"),
+    "SweepGrid.theta_values": (
+        lambda: SweepGrid(np.array([0.0, 2.0]), np.ones(1), 0.1, 4, np.zeros(1)),
+        InvalidParameter, "theta_values must lie in [-pi/2, pi/2]"),
+    "banded_eigvalsh.ndim": (lambda: banded_eigvalsh(np.ones((3, 2))), DimensionMismatch,
+                             "expected an (n, D, kd + 1) band stack, got shape (3, 2)"),
+    "purity_rate_approx.initial": (lambda: purity_rate_approx("bogus", 0.1, 1.0),
+                                   InvalidParameter, "initial must be 'ground' or 'excited'"),
+    "EntropySeries.purity": (
+        lambda: EntropySeries(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2),
+                              np.array([1.0, 1.0 + 1e-9])),
+        RangeViolation, "purity_field reaches 1.000e+00, outside (0, 1 + 1.0e-12]"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_names_its_input(call, error, message):
+    with pytest.raises(error, match="^" + re.escape(message)):
+        call()
 
 
 class TestBlochQubit:
@@ -351,7 +379,7 @@ solver_entries = (st.sampled_from([0.0, 1.0, -0.5])
                   | st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0))
 
 
-# LAPACK's dsbev as found in numpy's LAPACK; without it banded_eigvalsh refuses
+# LAPACK's dsbev as found in numpy's LAPACK; without it banded_eigvalsh solves dense
 dsbev_found = pytest.param("found", marks=pytest.mark.skipif(
     states._dsbev() is None, reason="numpy's LAPACK has no dsbev"))
 
@@ -397,12 +425,14 @@ def test_banded_eigvalsh_matches_eigvalsh(handle, band):
     assert np.all(np.abs(w - np.linalg.eigvalsh(dense)).max(axis=1) <= 1e-13 * norm)
 
 
-def test_banded_eigvalsh_refuses_without_dsbev():
-    # trajectory_data takes the dense route there; a direct call names what is missing
+def test_banded_eigvalsh_without_dsbev_is_dense_eigvalsh(rng):
+    # a missing routine is no computed fault: each band is solved as the dense matrix it
+    # stores, bit for bit, and the entries past the last row are still not read
     with mock.patch.object(states, "_dsbev", lambda: None):
         assert lapack_solver() == "eigvalsh"
-        with pytest.raises(NoConvergence, match="dsbev"):
-            banded_eigvalsh(np.ones((1, 3, 2)))
+        for dim, kd in [(1, 0), (5, 1), (7, 3), (2, 3), (40, 2)]:
+            band = rng.normal(size=(3, dim, kd + 1))
+            assert np.array_equal(banded_eigvalsh(band), np.linalg.eigvalsh(dense_of(band)))
 
 
 def test_dsbev_found_in_bundled_openblas():

@@ -48,6 +48,15 @@ class TestFixedPoint:
         with pytest.raises(InvalidParameter):
             fixed_point(-1.0)
 
+    @pytest.mark.parametrize("n_bar", [1e12, 4.5e15, 1e17, 1e300])
+    def test_length_does_not_cancel(self, n_bar):
+        # 2 P_ground - 1 lost digits from 1e12 on and rounded to 0 from about 4.5e15
+        assert fixed_point(n_bar).r == 1.0 / (2.0 * n_bar + 1.0) > 0.0
+
+    def test_refuses_n_bar_whose_length_rounds_to_zero(self):
+        with pytest.raises(InvalidParameter, match=re.escape("n_bar=1e+308 is too large")):
+            fixed_point(1e308)
+
 
 class TestRunSweep:
     def test_theta_major_ordering(self):
